@@ -716,16 +716,6 @@ func BenchmarkElaborateCorpus(b *testing.B) {
 			}
 		}
 	})
-	b.Run("report-only", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, p := range preps {
-				if _, _, err := elab.ElaborateOpts(p.d, p.c.Top, nil, elab.Options{ReportOnly: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkMinimizeParamsCorpus times the scaling-rule search over

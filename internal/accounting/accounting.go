@@ -15,24 +15,26 @@
 // recommended mode) or disabled (every instance, full parameters),
 // which is exactly the comparison Figure 6 of the paper draws.
 //
-// The implementation lives in internal/measure (so the batch
-// measure.Session can share the search's elaboration cache across a
-// whole component set without an import cycle); this package is the
-// single-component façade. The parameter-minimization search memoizes
-// at two levels, both keyed by the structural signature of
-// internal/synth's single-instance rule (module + resolved
-// parameters). Point verdicts: a candidate that names a design point
-// already probed — which the fixpoint iteration does constantly —
-// reuses the stored verdict instead of re-elaborating. Subtrees:
-// probes run in elab's report-only mode against a session-scoped
-// elaboration cache, so a probe skips every submodule subtree whose
-// resolved parameter binding was already elaborated and walks only
-// what the candidate's changed parameter actually reaches; full
-// instance trees are built once, for the point the search ends on,
-// reusing the reference elaboration's unchanged subtrees. Candidate
-// probes run on a bounded worker pool (measure.Options.Concurrency);
-// the search visits candidates lowest-first in batches, so the
-// minimized parameters are identical for every worker count.
+// The implementation lives in internal/measure, whose Session is the
+// one measurement engine: MeasureComponent here is a one-unit Session
+// batch, and whole component sets should use measure.NewSession and
+// Session.MeasureAll directly. This package is the single-component
+// façade under the paper's vocabulary. The parameter-minimization
+// search memoizes at two levels, both keyed by the structural
+// signature of internal/synth's single-instance rule (module +
+// resolved parameters). Point verdicts: a candidate that names a
+// design point already probed — which the fixpoint iteration does
+// constantly — reuses the stored verdict instead of re-elaborating.
+// Subtrees: probes elaborate against the component's elaboration
+// cache, so a probe reuses every submodule subtree whose path and
+// resolved parameter binding were already elaborated and rebuilds
+// only what the candidate's changed parameter actually reaches; the
+// final measurement's elaboration of the winning point is answered
+// from the same cache. Candidate probes run on a bounded worker pool
+// (measure.Options.Concurrency; serialized when the session's
+// component pool is itself parallel); the search visits candidates
+// lowest-first in batches, so the minimized parameters are identical
+// for every worker count.
 package accounting
 
 import (
@@ -59,10 +61,10 @@ type Result = measure.ComponentResult
 // once in both modes — the paper notes in Section 5.3 that the
 // accounting procedure does not affect them.
 //
-// To measure a whole component set, use measure.NewSession and
-// Session.MeasureAll, which produce bit-identical results while
-// sharing the elaboration cache and deduplicating synthesis across
-// components.
+// It is measure.MeasureComponent: a one-unit batch on a fresh
+// measure.Session. To measure a whole component set, use one Session
+// and MeasureAll, which produces bit-identical results while
+// deduplicating synthesis across components.
 func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts measure.Options) (*Result, error) {
 	return measure.MeasureComponent(design, top, useAccounting, opts)
 }

@@ -62,9 +62,15 @@ func TestCacheOffColdWarmBitIdentical(t *testing.T) {
 		}
 	}
 
-	s := ch.Stats()
-	if s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want exactly 1 miss (cold) and 1 hit (warm)", s)
+	// The component record misses once (cold) and hits once (warm).
+	// The cold run also writes the signature record of the design point
+	// it synthesized; the warm run never reaches it.
+	ks := ch.KindStats()
+	if kc := ks["component"]; kc.Misses != 1 || kc.Hits != 1 {
+		t.Errorf("component-kind stats = %+v, want exactly 1 miss (cold) and 1 hit (warm)", kc)
+	}
+	if kc := ks["sig"]; kc.Misses != 1 || kc.Puts != 1 || kc.Hits != 0 {
+		t.Errorf("sig-kind stats = %+v, want 1 miss and 1 put (cold) and no hit", kc)
 	}
 
 	// A fresh handle on the same directory must also hit: the entry is
@@ -93,9 +99,11 @@ func TestCacheVerifyModePassesOnConsistentEntry(t *testing.T) {
 	if *verified.Metrics != *first.Metrics {
 		t.Error("verify-mode hit diverged from original measurement")
 	}
+	// Verify mode recomputes and checks both entries the unit touches:
+	// its signature record and its component record.
 	s := ch.Stats()
-	if s.VerifyChecks != 1 || s.VerifyMismatches != 0 {
-		t.Errorf("stats = %+v, want 1 clean verify check", s)
+	if s.VerifyChecks != 2 || s.VerifyMismatches != 0 {
+		t.Errorf("stats = %+v, want 2 clean verify checks", s)
 	}
 }
 
@@ -107,7 +115,7 @@ func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
 	}
 	first := measureExec(t, measure.Options{Cache: ch})
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.ucx"))
+	entries, err := filepath.Glob(filepath.Join(dir, "component-*.ucx"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries = %v (err %v), want exactly one", entries, err)
 	}
@@ -119,8 +127,8 @@ func TestCacheCorruptedComponentEntryRecomputes(t *testing.T) {
 	if *again.Metrics != *first.Metrics {
 		t.Error("recomputed measurement diverged after corruption")
 	}
-	s := ch.Stats()
-	if s.DecodeErrors == 0 || s.Misses != 2 {
-		t.Errorf("stats = %+v, want the corrupt entry discarded and recomputed", s)
+	s, kc := ch.Stats(), ch.KindStats()["component"]
+	if s.DecodeErrors == 0 || kc.Misses != 2 {
+		t.Errorf("stats = %+v, component-kind %+v: want the corrupt entry discarded and recomputed", s, kc)
 	}
 }

@@ -57,32 +57,24 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 // Cache memoizes elaborated subtrees within one measurement session
 // (one design under one Options limit set — do not share a Cache
 // across designs or across different MaxGenIterations/MaxInstances).
-// It holds two tables:
-//
-//   - report fragments keyed by (module, resolved parameters): the
-//     construct Report contribution of a whole subtree, independent of
-//     where in the hierarchy it sits (construct keys are source
-//     positions). Report-only probes of the accounting search reuse
-//     these, so a candidate parameter point only walks the subtrees the
-//     changed parameter actually reaches.
-//
-//   - full instance subtrees keyed by (hierarchical path, module,
-//     resolved parameters): net names inside a lowered subtree embed
-//     the instance path, so a tree is only reused at the exact path it
-//     was built for. Across elaborations of the same top module at
-//     nearby parameter points the paths coincide, which is what makes
-//     the final full elaboration of the minimization winner cost only
-//     the subtrees its parameters actually changed.
+// Entries are full instance subtrees keyed by (hierarchical path,
+// module, resolved parameters), each stored with its construct Report
+// fragment and instance count: net names inside a lowered subtree
+// embed the instance path, so a tree is only reused at the exact path
+// it was built for. Across elaborations of the same top module at
+// nearby parameter points the paths coincide, which is what makes a
+// probe of the accounting search — and the final elaboration of the
+// minimization winner — cost only the subtrees its parameters actually
+// changed.
 //
 // Entries are immutable once stored (reports are merged by copy, trees
 // are shared read-only — elaborated instances are never mutated). All
 // methods are safe for concurrent use; concurrent writers of the same
 // key store bit-identical values, so the first write wins.
 type Cache struct {
-	mu      sync.Mutex
-	trees   map[treeKey]*treeEntry
-	reports map[string]*reportEntry
-	stats   CacheStats
+	mu    sync.Mutex
+	trees map[treeKey]*treeEntry
+	stats CacheStats
 }
 
 type treeKey struct {
@@ -96,17 +88,9 @@ type treeEntry struct {
 	count int
 }
 
-type reportEntry struct {
-	frag  *Report
-	count int
-}
-
 // NewCache returns an empty session cache.
 func NewCache() *Cache {
-	return &Cache{
-		trees:   map[treeKey]*treeEntry{},
-		reports: map[string]*reportEntry{},
-	}
+	return &Cache{trees: map[treeKey]*treeEntry{}}
 }
 
 // Stats returns the hit/miss/reuse tallies so far.
@@ -128,21 +112,7 @@ func (c *Cache) lookupTree(path, sig string) (*treeEntry, bool) {
 	return e, ok
 }
 
-// lookupReport returns the memoized report fragment of any subtree
-// elaborated under signature sig.
-func (c *Cache) lookupReport(sig string) (*reportEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.reports[sig]
-	if ok {
-		c.stats.Hits++
-		c.stats.InstancesReused += e.count
-	}
-	return e, ok
-}
-
-// storeTree memoizes a freshly elaborated subtree under both tables
-// (a full tree also answers report-only probes at the same signature).
+// storeTree memoizes a freshly elaborated subtree.
 func (c *Cache) storeTree(path, sig string, inst *Instance, frag *Report, count int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,20 +120,6 @@ func (c *Cache) storeTree(path, sig string, inst *Instance, frag *Report, count 
 	k := treeKey{path, sig}
 	if _, dup := c.trees[k]; !dup {
 		c.trees[k] = &treeEntry{inst: inst, frag: frag, count: count}
-	}
-	if _, dup := c.reports[sig]; !dup {
-		c.reports[sig] = &reportEntry{frag: frag, count: count}
-	}
-}
-
-// storeReport memoizes the report fragment of a subtree elaborated in
-// report-only mode.
-func (c *Cache) storeReport(sig string, frag *Report, count int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Misses++
-	if _, dup := c.reports[sig]; !dup {
-		c.reports[sig] = &reportEntry{frag: frag, count: count}
 	}
 }
 

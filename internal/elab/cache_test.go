@@ -67,10 +67,9 @@ func compareInstances(t *testing.T, label string, a, b *Instance) {
 }
 
 // TestCacheCorpusBitIdentical pins the tentpole invariant corpus-wide:
-// for every synthetic component, cached and report-only elaborations
-// are bit-identical to plain uncached elaboration — same instance
-// trees, same construct reports — and repeat lookups serve the same
-// shared tree.
+// for every synthetic component, cached elaborations are bit-identical
+// to plain uncached elaboration — same instance trees, same construct
+// reports — and repeat lookups serve the same shared tree.
 func TestCacheCorpusBitIdentical(t *testing.T) {
 	for _, c := range designs.All() {
 		d, err := designs.Design(c)
@@ -103,30 +102,6 @@ func TestCacheCorpusBitIdentical(t *testing.T) {
 		if againRep.String() != plainRep.String() {
 			t.Errorf("%s: warm report differs", c.Label())
 		}
-
-		// Report-only: nil instance, identical report — on a fresh cache
-		// and on the warm one.
-		for _, probe := range []*Cache{NewCache(), cacheObj} {
-			inst, rep, err := ElaborateOpts(d, c.Top, nil, Options{Cache: probe, ReportOnly: true})
-			if err != nil {
-				t.Fatalf("%s: report-only: %v", c.Label(), err)
-			}
-			if inst != nil {
-				t.Errorf("%s: report-only returned a non-nil instance", c.Label())
-			}
-			if rep.String() != plainRep.String() {
-				t.Errorf("%s: report-only report differs:\n%s\nvs\n%s", c.Label(), rep, plainRep)
-			}
-		}
-
-		// Bare report-only (no cache) must match too.
-		inst, rep, err := ElaborateOpts(d, c.Top, nil, Options{ReportOnly: true})
-		if err != nil {
-			t.Fatalf("%s: bare report-only: %v", c.Label(), err)
-		}
-		if inst != nil || rep.String() != plainRep.String() {
-			t.Errorf("%s: bare report-only diverged", c.Label())
-		}
 	}
 }
 
@@ -148,10 +123,10 @@ module pair #(parameter W = 4, parameter N = 2) (input [W-1:0] a, output [W-1:0]
 endmodule`
 
 // TestCacheProbePattern replays the accounting search's access
-// pattern: report-only probes of nearby parameter points against one
-// session cache, each compared against a fresh uncached elaboration.
-// Points that change only N reuse the leaf subtrees elaborated under
-// the reference W.
+// pattern: probes of nearby parameter points against one session
+// cache, each compared against a fresh uncached elaboration. Points
+// that change only N reuse the leaf subtrees elaborated under the
+// reference W.
 func TestCacheProbePattern(t *testing.T) {
 	d := design(t, map[string]string{"m.v": probeDesign})
 	sess := NewCache()
@@ -165,17 +140,18 @@ func TestCacheProbePattern(t *testing.T) {
 		{"W": 2, "N": 2}, {"W": 4, "N": 2},
 	} {
 		label := fmt.Sprintf("%v", p)
-		_, rep, err := ElaborateOpts(d, "pair", p, Options{Cache: sess, ReportOnly: true})
+		inst, rep, err := ElaborateOpts(d, "pair", p, Options{Cache: sess})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		_, plainRep, err := Elaborate(d, "pair", p)
+		plain, plainRep, err := Elaborate(d, "pair", p)
 		if err != nil {
 			t.Fatalf("%s: uncached: %v", label, err)
 		}
 		if rep.String() != plainRep.String() {
 			t.Errorf("%s: probe report differs:\n%s\nvs\n%s", label, rep, plainRep)
 		}
+		compareInstances(t, label, plain, inst)
 	}
 
 	s := sess.Stats()
@@ -196,9 +172,9 @@ func TestCacheProbePattern(t *testing.T) {
 }
 
 // TestCacheSharedConcurrent exercises one session cache from many
-// goroutines mixing report-only probes and full builds (run under
-// -race by scripts/ci.sh). Every result must match an uncached
-// elaboration of the same point.
+// goroutines building overlapping parameter points (run under -race by
+// scripts/ci.sh). Every result must match an uncached elaboration of
+// the same point.
 func TestCacheSharedConcurrent(t *testing.T) {
 	d := design(t, map[string]string{"m.v": probeDesign})
 	sess := NewCache()
@@ -212,23 +188,22 @@ func TestCacheSharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i, p := range points {
-				reportOnly := (w+i)%2 == 0
-				inst, rep, err := ElaborateOpts(d, "pair", p, Options{Cache: sess, ReportOnly: reportOnly})
+			for _, p := range points {
+				inst, rep, err := ElaborateOpts(d, "pair", p, Options{Cache: sess})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d point %v: %v", w, p, err)
 					continue
 				}
-				if reportOnly && inst != nil {
-					errs <- fmt.Errorf("worker %d point %v: report-only returned a tree", w, p)
-				}
-				_, plainRep, err := Elaborate(d, "pair", p)
+				plain, plainRep, err := Elaborate(d, "pair", p)
 				if err != nil {
 					errs <- err
 					continue
 				}
 				if rep.String() != plainRep.String() {
 					errs <- fmt.Errorf("worker %d point %v: report mismatch", w, p)
+				}
+				if inst.CountInstances() != plain.CountInstances() {
+					errs <- fmt.Errorf("worker %d point %v: instance count mismatch", w, p)
 				}
 			}
 		}(w)
@@ -271,8 +246,8 @@ endmodule`})
 	}
 }
 
-// TestCacheErrorParity pins that cached and report-only elaborations
-// fail exactly like uncached ones — same error text — for both a
+// TestCacheErrorParity pins that cached elaborations fail exactly like
+// uncached ones — same error text — for both a
 // parameter-dependent range error and a recursive instantiation.
 func TestCacheErrorParity(t *testing.T) {
 	cases := map[string]string{
@@ -291,11 +266,9 @@ endmodule`,
 		if plainErr == nil {
 			t.Fatalf("%s: uncached elaboration unexpectedly succeeded", name)
 		}
-		for _, reportOnly := range []bool{false, true} {
-			_, _, err := ElaborateOpts(d, "m", nil, Options{Cache: NewCache(), ReportOnly: reportOnly})
-			if err == nil || err.Error() != plainErr.Error() {
-				t.Errorf("%s (reportOnly=%v): error %q, uncached %q", name, reportOnly, err, plainErr)
-			}
+		_, _, err := ElaborateOpts(d, "m", nil, Options{Cache: NewCache()})
+		if err == nil || err.Error() != plainErr.Error() {
+			t.Errorf("%s: error %q, uncached %q", name, err, plainErr)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/hdl"
 )
 
-// Options tunes elaboration limits and modes.
+// Options tunes elaboration limits and subtree memoization.
 type Options struct {
 	// MaxGenIterations caps a single generate/procedural for loop.
 	// Zero means 4096.
@@ -23,16 +23,6 @@ type Options struct {
 	// elaboration. The cache must not be shared across designs or
 	// across differing limit options.
 	Cache *Cache
-	// ReportOnly computes just the construct Report (generate-loop trip
-	// counts, branch polarities, memory shapes, behavioral signatures)
-	// without retaining instance trees: Elaborate returns a nil
-	// *Instance. Success/failure and the Report are bit-identical to a
-	// full elaboration — every declaration, range check, and constant
-	// evaluation still runs — but subtrees are discarded as soon as
-	// their fragment is extracted (and, with a Cache, skipped entirely
-	// on repeat signatures). This is the probe mode of the accounting
-	// search's scaling rule.
-	ReportOnly bool
 }
 
 func (o Options) maxIter() int {
@@ -114,8 +104,8 @@ func Elaborate(design *hdl.Design, top string, overrides map[string]int64) (*Ins
 	return ElaborateOpts(design, top, overrides, Options{})
 }
 
-// ElaborateOpts is Elaborate with explicit limits and modes. In
-// report-only mode (Options.ReportOnly) the returned Instance is nil.
+// ElaborateOpts is Elaborate with explicit limits and an optional
+// session cache.
 func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, opts Options) (*Instance, *Report, error) {
 	m, err := design.Module(top)
 	if err != nil {
@@ -150,30 +140,17 @@ func ElaborateOpts(design *hdl.Design, top string, overrides map[string]int64, o
 	var sig string
 	if el.cache != nil {
 		sig = ParamSignature(top, params)
-		if opts.ReportOnly {
-			if e, ok := el.cache.lookupReport(sig); ok {
-				return nil, e.frag, nil
-			}
-		} else {
-			if e, ok := el.cache.lookupTree(top, sig); ok {
-				return e.inst, e.frag, nil
-			}
-			el.usedPaths = map[string]bool{top: true}
+		if e, ok := el.cache.lookupTree(top, sig); ok {
+			return e.inst, e.frag, nil
 		}
+		el.usedPaths = map[string]bool{top: true}
 	}
 	inst, frag, count, err := el.elaborateSubtree(m, top, params)
 	if err != nil {
 		return nil, nil, err
 	}
 	if el.cache != nil {
-		if opts.ReportOnly {
-			el.cache.storeReport(sig, frag, count)
-		} else {
-			el.cache.storeTree(top, sig, inst, frag, count)
-		}
-	}
-	if opts.ReportOnly {
-		inst = nil
+		el.cache.storeTree(top, sig, inst, frag, count)
 	}
 	return inst, frag, nil
 }
@@ -505,18 +482,7 @@ func (el *elaborator) elaborateInstance(parent *Instance, v *hdl.Instance, env *
 	}
 	if cacheable {
 		sig = ParamSignature(child.Name, params)
-		if el.opts.ReportOnly {
-			if e, ok := el.cache.lookupReport(sig); ok {
-				el.report.mergeFrom(e.frag)
-				if err := el.reuseInstances(e.count, childPath); err != nil {
-					return err
-				}
-				ch := el.chA.new()
-				*ch = Child{Name: name, Ports: v.Ports, Env: env, Pos: v.Pos}
-				parent.Children = append(parent.Children, ch)
-				return nil
-			}
-		} else if el.usedPaths[childPath] {
+		if el.usedPaths[childPath] {
 			// A repeated hierarchical path must stay a distinct tree.
 			cacheable = false
 		} else {
@@ -550,17 +516,7 @@ func (el *elaborator) elaborateInstance(parent *Instance, v *hdl.Instance, env *
 		if err2 != nil {
 			return err2
 		}
-		if el.opts.ReportOnly {
-			el.cache.storeReport(sig, frag, count)
-		} else {
-			el.cache.storeTree(childPath, sig, childInst, frag, count)
-		}
-	}
-	if el.opts.ReportOnly {
-		// Probe mode: the subtree's fragment is what mattered; drop the
-		// tree. The Child entry stays so the parent's range validation
-		// still checks every port expression.
-		childInst = nil
+		el.cache.storeTree(childPath, sig, childInst, frag, count)
 	}
 	ch := el.chA.new()
 	*ch = Child{

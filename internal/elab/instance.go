@@ -39,11 +39,7 @@ type ElabAlways struct {
 	Env  *Env
 }
 
-// Child is an elaborated submodule instantiation. In report-only
-// elaborations (Options.ReportOnly) Inst is nil — the subtree's report
-// fragment was extracted and the tree discarded — while Name, Ports,
-// and Env remain so the parent's range validation still covers every
-// port expression.
+// Child is an elaborated submodule instantiation.
 type Child struct {
 	Name  string // scoped instance name, e.g. "g[1].u0"
 	Ports []hdl.Binding

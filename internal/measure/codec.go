@@ -5,40 +5,30 @@ import (
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/elab"
 	"repro/internal/netlist"
 )
 
-// Binary codecs for the two types the disk cache persists: the full
+// Binary codecs for the records the disk cache persists: the full
 // component record (metrics + accounting details + the optimized
-// netlist timing analysis reuses) and the bare metric vector of
-// measure.Module. Explicit field-by-field encoders over
+// netlist timing analysis reuses) and the signature record of one
+// synthesized design point. Explicit field-by-field encoders over
 // internal/codec's primitives — what encoding/gob did by reflection,
 // without the reflection. Each payload opens with its own structure
 // version byte so the layout can evolve under one cache schema.
 
 const (
-	metricsVersion = 1
-	recordVersion  = 1
-	sigVersion     = 1
+	// recordVersion 2 dropped the three subtree-cache counters version
+	// 1 carried after the probe counters.
+	recordVersion = 2
+	sigVersion    = 1
 )
 
-// metricsCodec persists *Metrics (the measure.Module cache entries).
-var metricsCodec = codec.Codec[*Metrics]{
-	Name: "measure.Metrics",
-	Append: func(dst []byte, m *Metrics) []byte {
-		dst = codec.AppendByte(dst, metricsVersion)
-		return appendMetrics(dst, m)
-	},
-	Decode: func(r *codec.Reader) (*Metrics, error) {
-		if v := r.Byte(); r.Err() == nil && v != metricsVersion {
-			return nil, fmt.Errorf("%w: metrics structure version %d, want %d", codec.ErrCorrupt, v, metricsVersion)
-		}
-		return decodeMetrics(r)
-	},
-}
-
-func appendMetrics(dst []byte, m *Metrics) []byte {
+// AppendMetrics appends the binary form of one metric vector: the
+// seven integer metrics as varints, then the five physical metrics as
+// float64 bit patterns, in declaration order. It is the one metrics
+// encoding — the disk cache's records and the daemon's binary wire
+// format both embed it.
+func AppendMetrics(dst []byte, m *Metrics) []byte {
 	dst = codec.AppendVarint(dst, int64(m.Stmts))
 	dst = codec.AppendVarint(dst, int64(m.LoC))
 	dst = codec.AppendVarint(dst, int64(m.FanInLC))
@@ -53,8 +43,11 @@ func appendMetrics(dst []byte, m *Metrics) []byte {
 	return codec.AppendFloat64(dst, m.PowerS)
 }
 
-func decodeMetrics(r *codec.Reader) (*Metrics, error) {
-	m := &Metrics{
+// DecodeMetrics reads one AppendMetrics encoding. Malformed input
+// leaves the reader's sticky error set (check r.Err()) and the
+// returned vector partially filled.
+func DecodeMetrics(r *codec.Reader) Metrics {
+	return Metrics{
 		Stmts:        int(r.Varint()),
 		LoC:          int(r.Varint()),
 		FanInLC:      int(r.Varint()),
@@ -68,10 +61,6 @@ func decodeMetrics(r *codec.Reader) (*Metrics, error) {
 		PowerD:       r.Float64(),
 		PowerS:       r.Float64(),
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // sigRecord is the cacheable outcome of synthesizing one signature —
@@ -96,7 +85,7 @@ var sigRecordCodec = codec.Codec[*sigRecord]{
 		dst = codec.AppendByte(dst, sigVersion)
 		dst = codec.AppendBool(dst, rec.Metrics != nil)
 		if rec.Metrics != nil {
-			dst = appendMetrics(dst, rec.Metrics)
+			dst = AppendMetrics(dst, rec.Metrics)
 		}
 		dst = codec.AppendVarint(dst, int64(rec.InstanceCount))
 		dst = codec.AppendVarint(dst, int64(rec.Deduped))
@@ -112,11 +101,8 @@ var sigRecordCodec = codec.Codec[*sigRecord]{
 		}
 		rec := &sigRecord{}
 		if r.Bool() {
-			m, err := decodeMetrics(r)
-			if err != nil {
-				return nil, err
-			}
-			rec.Metrics = m
+			m := DecodeMetrics(r)
+			rec.Metrics = &m
 		}
 		rec.InstanceCount = int(r.Varint())
 		rec.Deduped = int(r.Varint())
@@ -150,18 +136,18 @@ func compareSigRecords(cached, fresh *sigRecord) string {
 	return ""
 }
 
-// recordCodec persists *componentRecord — the shape both
-// MeasureComponent and Session.MeasureAll store and serve. The
-// MinimizedParams map is written in sorted key order so identical
-// records encode to identical bytes (the cache's verify mode and the
-// golden tests rely on byte-stable encodes).
+// recordCodec persists *componentRecord — the shape the session
+// stores and serves for every unit. The MinimizedParams map is written
+// in sorted key order so identical records encode to identical bytes
+// (the cache's verify mode and the golden tests rely on byte-stable
+// encodes).
 var recordCodec = codec.Codec[*componentRecord]{
 	Name: "measure.componentRecord",
 	Append: func(dst []byte, rec *componentRecord) []byte {
 		dst = codec.AppendByte(dst, recordVersion)
 		dst = codec.AppendBool(dst, rec.Metrics != nil)
 		if rec.Metrics != nil {
-			dst = appendMetrics(dst, rec.Metrics)
+			dst = AppendMetrics(dst, rec.Metrics)
 		}
 		dst = codec.AppendUvarint(dst, uint64(len(rec.UniqueModules)))
 		for _, name := range rec.UniqueModules {
@@ -181,9 +167,6 @@ var recordCodec = codec.Codec[*componentRecord]{
 		dst = codec.AppendVarint(dst, int64(rec.DedupedInstances))
 		dst = codec.AppendVarint(dst, int64(rec.ElabCacheHits))
 		dst = codec.AppendVarint(dst, int64(rec.ElabCacheMisses))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.Hits))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.Misses))
-		dst = codec.AppendVarint(dst, int64(rec.ElabStats.InstancesReused))
 		dst = codec.AppendBool(dst, rec.Optimized != nil)
 		if rec.Optimized != nil {
 			dst = codec.AppendNetlist(dst, rec.Optimized)
@@ -196,11 +179,8 @@ var recordCodec = codec.Codec[*componentRecord]{
 		}
 		rec := &componentRecord{}
 		if r.Bool() {
-			m, err := decodeMetrics(r)
-			if err != nil {
-				return nil, err
-			}
-			rec.Metrics = m
+			m := DecodeMetrics(r)
+			rec.Metrics = &m
 		}
 		if n := r.Count(1); n > 0 {
 			rec.UniqueModules = make([]string, n)
@@ -222,11 +202,6 @@ var recordCodec = codec.Codec[*componentRecord]{
 		rec.DedupedInstances = int(r.Varint())
 		rec.ElabCacheHits = int(r.Varint())
 		rec.ElabCacheMisses = int(r.Varint())
-		rec.ElabStats = elab.CacheStats{
-			Hits:            int(r.Varint()),
-			Misses:          int(r.Varint()),
-			InstancesReused: int(r.Varint()),
-		}
 		var opt *netlist.Netlist
 		if r.Bool() && r.Err() == nil {
 			var err error

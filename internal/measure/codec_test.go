@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/designs"
-	"repro/internal/elab"
 	"repro/internal/synth"
 )
 
@@ -33,12 +32,15 @@ func TestMetricsCodecRoundtrip(t *testing.T) {
 		FreqMHz: 123.456789, AreaL: 0.1 + 0.2, AreaS: math.SmallestNonzeroFloat64,
 		PowerD: 1e-9, PowerS: 55.5,
 	}
-	got := roundtrip(t, metricsCodec, want)
-	if *got != *want {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-	if got := roundtrip(t, metricsCodec, &Metrics{}); *got != (Metrics{}) {
-		t.Errorf("zero metrics round-trip: %+v", got)
+	for _, m := range []*Metrics{want, {}} {
+		r := codec.NewReader(AppendMetrics(nil, m))
+		got := DecodeMetrics(r)
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got != *m {
+			t.Errorf("got %+v, want %+v", got, *m)
+		}
 	}
 }
 
@@ -65,7 +67,6 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 		DedupedInstances: 3,
 		ElabCacheHits:    5,
 		ElabCacheMisses:  2,
-		ElabStats:        elab.CacheStats{Hits: 10, Misses: 4, InstancesReused: 6},
 		Optimized:        res.Optimized,
 	}
 	got := roundtrip(t, recordCodec, want)
@@ -75,7 +76,7 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(got.UniqueModules, want.UniqueModules) {
 		t.Errorf("UniqueModules = %v", got.UniqueModules)
 	}
-	if got.ElabCacheHits != 5 || got.ElabCacheMisses != 2 || got.ElabStats != want.ElabStats {
+	if got.ElabCacheHits != 5 || got.ElabCacheMisses != 2 {
 		t.Errorf("elab counters changed: %+v", got)
 	}
 	if got.Optimized.Hash() != res.Optimized.Hash() {
@@ -112,5 +113,26 @@ func TestRecordCodecHostileInput(t *testing.T) {
 		} else if !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("truncation at %d: %v does not wrap ErrCorrupt", cut, err)
 		}
+	}
+}
+
+// TestRecordCodecRejectsVersion1 pins the structure-version bump: a
+// version-1 record — which carried three subtree-cache counters after
+// the probe counters — must be rejected as corrupt (the cache then
+// recomputes the entry), never misread as the current layout.
+func TestRecordCodecRejectsVersion1(t *testing.T) {
+	v1 := codec.AppendByte(nil, 1)
+	v1 = codec.AppendBool(v1, true)
+	v1 = AppendMetrics(v1, &Metrics{Cells: 1})
+	v1 = codec.AppendUvarint(v1, 0) // UniqueModules
+	v1 = codec.AppendUvarint(v1, 0) // MinimizedParams
+	// InstanceCount, DedupedInstances, probe hits and misses, then the
+	// version-1 subtree hits, misses and instances reused.
+	for range 7 {
+		v1 = codec.AppendVarint(v1, 0)
+	}
+	v1 = codec.AppendBool(v1, false) // no optimized netlist
+	if _, err := recordCodec.Decode(codec.NewReader(v1)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("version-1 record: err %v, want codec.ErrCorrupt", err)
 	}
 }

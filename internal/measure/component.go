@@ -5,7 +5,6 @@ import (
 	"maps"
 
 	"repro/internal/cache"
-	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/netlist"
 	"repro/internal/synth"
@@ -34,15 +33,9 @@ type ComponentResult struct {
 	Synth *synth.Result
 	// ElabCacheHits and ElabCacheMisses count memoized versus fresh
 	// point verdicts during the parameter-minimization search
-	// (accounting mode only).
+	// (accounting mode only). Subtree-level elaboration-cache activity
+	// is reported through Options.ElabStats and Session.ElabStats.
 	ElabCacheHits, ElabCacheMisses int
-	// ElabStats counts the session elaboration cache's subtree-level
-	// activity — fragments and trees reused versus elaborated fresh,
-	// and how many instances the reuse skipped (accounting mode only;
-	// when the measurement ran inside a Session the cache is shared
-	// across the whole batch, so per-component deltas are not
-	// attributable and this is left zero — read Session.ElabStats).
-	ElabStats elab.CacheStats
 }
 
 // MeasureComponent measures one component (a module plus everything it
@@ -58,25 +51,16 @@ type ComponentResult struct {
 // The software metrics (LoC, Stmts) sum each unique module's source
 // once in both modes — the paper notes in Section 5.3 that the
 // accounting procedure does not affect them.
+//
+// It is a one-unit batch on a fresh Session; to measure a whole
+// component set, use one Session and MeasureAll, which shares the
+// synthesis of every repeated design point across components.
 func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
-	if opts.Cache == nil {
-		return measureComponent(design, top, useAccounting, opts)
-	}
-	key, err := componentKey(design, top, useAccounting, opts)
+	res, err := NewSession(design).MeasureAll([]Unit{{Top: top, UseAccounting: useAccounting}}, opts)
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := cache.DoEq(opts.Cache, key, recordCodec, func() (*componentRecord, error) {
-		res, err := measureComponent(design, top, useAccounting, opts)
-		if err != nil {
-			return nil, err
-		}
-		return recordOf(res), nil
-	}, compareRecords)
-	if err != nil {
-		return nil, err
-	}
-	return rec.toResult(), nil
+	return res[0], nil
 }
 
 // componentKey derives the on-disk cache key of one component
@@ -84,8 +68,7 @@ func MeasureComponent(design *hdl.Design, top string, useAccounting bool, opts O
 // sources (hdl.Design.SubtreeHash), not the whole design's
 // fingerprint, so an edit elsewhere in the design — or measuring the
 // same component from a differently-composed design — leaves the
-// entry warm. The Session uses the same key, so warm entries are
-// shared between the batch and per-component paths.
+// entry warm.
 func componentKey(design *hdl.Design, top string, useAccounting bool, opts Options) (string, error) {
 	st, err := design.SubtreeHash(top)
 	if err != nil {
@@ -108,11 +91,9 @@ type componentRecord struct {
 	MinimizedParams  map[string]int64
 	InstanceCount    int
 	DedupedInstances int
-	// ElabCacheHits/Misses and ElabStats describe the run that
-	// populated the entry (they depend on probe scheduling, not on the
-	// result).
+	// ElabCacheHits/Misses describe the run that populated the entry
+	// (they depend on probe scheduling, not on the result).
 	ElabCacheHits, ElabCacheMisses int
-	ElabStats                      elab.CacheStats
 	Optimized                      *netlist.Netlist
 }
 
@@ -125,7 +106,6 @@ func recordOf(res *ComponentResult) *componentRecord {
 		DedupedInstances: res.DedupedInstances,
 		ElabCacheHits:    res.ElabCacheHits,
 		ElabCacheMisses:  res.ElabCacheMisses,
-		ElabStats:        res.ElabStats,
 		Optimized:        res.Synth.Optimized,
 	}
 }
@@ -139,7 +119,6 @@ func (r *componentRecord) toResult() *ComponentResult {
 		DedupedInstances: r.DedupedInstances,
 		ElabCacheHits:    r.ElabCacheHits,
 		ElabCacheMisses:  r.ElabCacheMisses,
-		ElabStats:        r.ElabStats,
 		Synth:            &synth.Result{Optimized: r.Optimized},
 	}
 }
@@ -161,66 +140,4 @@ func compareRecords(cached, fresh *componentRecord) string {
 		return "optimized netlist structure differs"
 	}
 	return ""
-}
-
-func measureComponent(design *hdl.Design, top string, useAccounting bool, opts Options) (*ComponentResult, error) {
-	modules, err := design.TransitiveModules(top)
-	if err != nil {
-		return nil, err
-	}
-	res := &ComponentResult{UniqueModules: modules}
-
-	var inst *elab.Instance
-	var report *elab.Report
-	if useAccounting {
-		params, memo, err := minimizeParams(design, top, opts.Concurrency, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.MinimizedParams = params
-		// The search probed candidates in report-only mode; the full
-		// instance tree is materialized only here, for the point the
-		// search ended on, reusing every subtree the minimized
-		// parameters left unchanged from the reference elaboration.
-		inst, report, err = elab.ElaborateOpts(design, top, params, elab.Options{Cache: memo.sess})
-		if err != nil {
-			return nil, err
-		}
-		res.ElabCacheHits, res.ElabCacheMisses = memo.counters()
-		res.ElabStats = memo.sess.Stats()
-		if opts.ElabStats != nil {
-			opts.ElabStats.Add(res.ElabStats, res.ElabCacheHits, res.ElabCacheMisses)
-		}
-	} else {
-		inst, report, err = elab.Elaborate(design, top, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.InstanceCount = inst.CountInstances()
-
-	mopts := opts
-	mopts.DedupInstances = useAccounting
-	synres, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{
-		DedupInstances:   useAccounting,
-		DisableTemplates: opts.DisableTemplates,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Synth = synres
-	res.DedupedInstances = synres.Deduped
-	m := SynthMetricsOnly(synres, mopts)
-
-	// Software metrics: each unique module's source once.
-	for _, name := range modules {
-		src, err := SourceOnly(design, name)
-		if err != nil {
-			return nil, err
-		}
-		m.Stmts += src.Stmts
-		m.LoC += src.LoC
-	}
-	res.Metrics = m
-	return res, nil
 }

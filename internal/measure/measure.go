@@ -108,11 +108,6 @@ type Options struct {
 	// DedupInstances applies the single-instance rule during lowering
 	// (used by internal/accounting).
 	DedupInstances bool
-	// DisableTemplates turns off template-stamped lowering (see
-	// synth.LowerOptions.DisableTemplates). Stamping is bit-identical
-	// to direct lowering, so this is excluded from CacheKeyParts, like
-	// Concurrency: both modes share cache entries.
-	DisableTemplates bool
 	// Concurrency bounds the worker pool of any parallelizable step in
 	// the measurement (the accounting procedure's candidate probes):
 	// 0 means GOMAXPROCS, 1 forces the exact sequential path. Measured
@@ -168,63 +163,13 @@ func (o Options) CacheKeyParts() []string {
 	return parts
 }
 
-// Module measures one module of the design, synthesized standalone
-// with the given parameter overrides (nil = declared defaults). The
-// software metrics (LoC, Stmts) are measured on the module's own
-// source text and are parameter-independent; the synthesis metrics
-// cover the module with its full submodule hierarchy flattened.
-func Module(design *hdl.Design, top string, overrides map[string]int64, opts Options) (*Metrics, error) {
-	mod, err := design.Module(top)
-	if err != nil {
-		return nil, err
-	}
-	compute := func() (*Metrics, error) {
-		res, err := synth.SynthesizeOpts(design, top, overrides, synth.LowerOptions{
-			DedupInstances:   opts.DedupInstances,
-			DisableTemplates: opts.DisableTemplates,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("measure: synthesize %s: %w", top, err)
-		}
-		return fromNetlist(res, mod, opts, nil)
-	}
-	if opts.Cache == nil {
-		return compute()
-	}
-	// Keyed by the module's transitive subtree sources, not the design
-	// fingerprint: an edit outside the subtree leaves the entry warm.
-	st, err := design.SubtreeHash(top)
-	if err != nil {
-		return nil, err
-	}
-	key := cache.KindKey("module", append([]string{
-		st, synth.ParamSignature(top, overrides),
-	}, opts.CacheKeyParts()...)...)
-	m, _, err := cache.Do(opts.Cache, key, metricsCodec, compute)
-	return m, err
-}
-
-// SynthMetricsOnly measures only the synthesis-derived metrics of an
-// already-synthesized result (used by accounting to avoid re-running
-// synthesis).
-func SynthMetricsOnly(res *synth.Result, opts Options) *Metrics {
-	return synthMetricsWS(res, opts, nil)
-}
-
-// synthMetricsWS is SynthMetricsOnly with optional reusable scratch:
-// under a workspace the cone, LUT, and power kernels run their
-// summary/arena variants, whose aggregates are pinned bit-identical to
-// the fresh kernels by their package tests and the session golden
+// synthMetricsWS measures the synthesis-derived metrics of an
+// already-synthesized result. Under a workspace the cone, LUT, and
+// power kernels run their summary/arena variants, whose aggregates are
+// pinned bit-identical to the fresh kernels (ws == nil, the test
+// reference's path) by their package tests and the session golden
 // tests.
 func synthMetricsWS(res *synth.Result, opts Options, ws *Workspace) *Metrics {
-	m, err := fromNetlist(res, nil, opts, ws)
-	if err != nil {
-		panic(err) // fromNetlist only errors on source measurement
-	}
-	return m
-}
-
-func fromNetlist(res *synth.Result, mod *hdl.Module, opts Options, ws *Workspace) (*Metrics, error) {
 	lib := opts.library()
 	nl := res.Optimized
 	stats := nl.Stats()
@@ -242,7 +187,7 @@ func fromNetlist(res *synth.Result, mod *hdl.Module, opts Options, ws *Workspace
 	}
 	areaL, areaS := lib.Areas(nl)
 
-	m := &Metrics{
+	return &Metrics{
 		FanInLC:      mapping.LUTInputSum,
 		FanInLCExact: fanInExact,
 		Nets:         stats.Nets,
@@ -254,12 +199,6 @@ func fromNetlist(res *synth.Result, mod *hdl.Module, opts Options, ws *Workspace
 		PowerD:       pw.DynamicMW,
 		PowerS:       pw.StaticUW,
 	}
-	if mod != nil {
-		sc := srcmetrics.MeasureModule(mod)
-		m.Stmts = sc.Stmts
-		m.LoC = sc.LoC
-	}
-	return m, nil
 }
 
 // SourceOnly measures just the software metrics of one module.

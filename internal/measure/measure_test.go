@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/hdl"
+	"repro/internal/synth"
 )
 
 const sampleSrc = `
@@ -23,11 +24,32 @@ func sampleDesign(t *testing.T) *hdl.Design {
 	return d
 }
 
-func TestModuleProducesAllMetrics(t *testing.T) {
-	m, err := Module(sampleDesign(t), "sample", nil, Options{})
+// measureAt measures module top of d at the given parameter overrides:
+// the synthesis-derived metrics of its flattened hierarchy plus the
+// software metrics of its own source.
+func measureAt(t *testing.T, d *hdl.Design, top string, overrides map[string]int64) *Metrics {
+	t.Helper()
+	res, err := synth.SynthesizeOpts(d, top, overrides, synth.LowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := synthMetricsWS(res, Options{}, nil)
+	src, err := SourceOnly(d, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Add(src)
+	return m
+}
+
+// TestModuleProducesAllMetrics measures a one-module design as a
+// component and requires every Table 3 metric to be populated.
+func TestModuleProducesAllMetrics(t *testing.T) {
+	res, err := MeasureComponent(sampleDesign(t), "sample", false, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
 	if m.Stmts <= 0 || m.LoC <= 0 {
 		t.Errorf("software metrics missing: %+v", m)
 	}
@@ -57,14 +79,8 @@ func TestModuleProducesAllMetrics(t *testing.T) {
 
 func TestModuleParameterOverridesScaleMetrics(t *testing.T) {
 	d := sampleDesign(t)
-	small, err := Module(d, "sample", map[string]int64{"W": 2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Module(d, "sample", map[string]int64{"W": 32}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := measureAt(t, d, "sample", map[string]int64{"W": 2})
+	big := measureAt(t, d, "sample", map[string]int64{"W": 32})
 	if small.Cells >= big.Cells || small.FFs >= big.FFs || small.AreaL >= big.AreaL {
 		t.Errorf("parameters must scale synthesis metrics: %+v vs %+v", small, big)
 	}

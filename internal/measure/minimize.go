@@ -1,10 +1,9 @@
 package measure
 
 // The parameter-minimization search of the accounting procedure's
-// scaling rule (Section 2.2 of the paper) lives here so that both the
-// per-component path (internal/accounting, which delegates) and the
-// batch measurement Session can run it against a shared session
-// elaboration cache without an import cycle.
+// scaling rule (Section 2.2 of the paper) lives here so that the
+// measurement Session can run it against each component's elaboration
+// cache (internal/accounting delegates here) without an import cycle.
 
 import (
 	"fmt"
@@ -20,11 +19,10 @@ import (
 // elabMemo caches the point verdicts of one (design, module) pair
 // across the minimization search. Keys are synth.ParamSignature
 // strings, so two candidate maps that resolve to the same design point
-// share one entry. No per-point instance trees are retained: probes
-// run in report-only mode against a session-scoped subtree cache
-// (sess), which also lets the final measurement's full elaboration
-// reuse every subtree the winning parameters left unchanged from the
-// reference.
+// share one entry. Probes elaborate against a component-scoped subtree
+// cache (sess), so a probe rebuilds only what its changed parameter
+// reaches, and the final measurement's elaboration of the winning
+// point is answered from the same cache.
 type elabMemo struct {
 	design *hdl.Design
 	module string
@@ -40,11 +38,10 @@ type elabMemo struct {
 // compatible reports whether the candidate parameter point elaborates
 // to a structure compatible with the reference elaboration, memoized.
 // Elaboration failures count as incompatible, as in the paper's rule
-// (the smallest value must still elaborate). Probes are report-only:
-// only the construct Report is computed, and subtrees whose resolved
-// parameter bindings were already elaborated this session are skipped
-// entirely, so a probe costs proportional to what the candidate's
-// changed parameter actually reaches.
+// (the smallest value must still elaborate). Subtrees whose path and
+// resolved parameter binding were already elaborated against the cache
+// are reused whole, so a probe costs proportional to what the
+// candidate's changed parameter actually reaches.
 func (m *elabMemo) compatible(cand map[string]int64) bool {
 	sig := synth.ParamSignature(m.module, cand)
 	m.mu.Lock()
@@ -56,10 +53,7 @@ func (m *elabMemo) compatible(cand map[string]int64) bool {
 	m.misses++
 	m.mu.Unlock()
 
-	_, rep, err := elab.ElaborateOpts(m.design, m.module, cand, elab.Options{
-		Cache:      m.sess,
-		ReportOnly: true,
-	})
+	_, rep, err := elab.ElaborateOpts(m.design, m.module, cand, elab.Options{Cache: m.sess})
 	ok := false
 	if err == nil {
 		ok, _ = m.ref.CompatibleWith(rep)
@@ -102,10 +96,10 @@ func MinimizeParamsN(design *hdl.Design, module string, concurrency int) (map[st
 
 // minimizeParams runs the search. When sess is nil a fresh session
 // elaboration cache is created for this search alone; a Session passes
-// its shared cache so reference elaborations and probes reuse every
-// subtree any earlier component in the batch already elaborated. The
-// minimized parameters are bit-identical either way: cached report
-// fragments and trees are themselves bit-identical to uncached
+// its top-module group's cache, which the group's later units and
+// signature syntheses then reuse. The
+// minimized parameters are bit-identical either way: cached trees and
+// their report fragments are themselves bit-identical to uncached
 // elaboration (the internal/elab invariant), so every compatibility
 // verdict — and therefore the search's landing point — is unchanged.
 func minimizeParams(design *hdl.Design, module string, concurrency int, sess *elab.Cache) (map[string]int64, *elabMemo, error) {
@@ -114,10 +108,10 @@ func minimizeParams(design *hdl.Design, module string, concurrency int, sess *el
 		return nil, nil, err
 	}
 	// The session cache memoizes every subtree elaborated during this
-	// search, keyed by resolved parameter binding. The reference
-	// elaboration populates it, report-only probes draw on it, and the
-	// final full elaboration of the winning point reuses each subtree
-	// the minimized parameters did not touch.
+	// search, keyed by hierarchical path and resolved parameter
+	// binding. The reference
+	// elaboration populates it, probes draw on it, and the final
+	// elaboration of the winning point is a cache hit.
 	if sess == nil {
 		sess = elab.NewCache()
 	}

@@ -45,9 +45,7 @@ func (b *Baseline) Result(u Unit) (*ComponentResult, bool) {
 // options must not serve a remeasurement (the dirty cone only tracks
 // source changes).
 func optionsKey(opts Options) string {
-	return strings.Join(append([]string{
-		fmt.Sprintf("notmpl=%t", opts.DisableTemplates),
-	}, opts.CacheKeyParts()...), "|")
+	return strings.Join(opts.CacheKeyParts(), "|")
 }
 
 // graphKey derives the disk key of a persisted dependency graph

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/designs"
+	"repro/internal/fpga"
 	"repro/internal/hdl"
 	"repro/internal/measure"
 )
@@ -241,7 +242,7 @@ func TestRemeasureWithoutBaselineOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := measure.Options{Concurrency: 1, DisableTemplates: true}
+	other := measure.Options{Concurrency: 1, FPGA: fpga.Options{K: 6}}
 	_, _, stats, err := measure.NewSession(d2).Remeasure(prev, units, other)
 	if err != nil {
 		t.Fatal(err)

@@ -49,11 +49,11 @@ type SessionStats struct {
 // design point is synthesized and metric-extracted exactly once no
 // matter how many units — or MeasureAll calls — land on it.
 //
-// Every result is bit-identical to the per-component MeasureComponent
-// path on the same parsed design: the elaboration cache's entries are
-// bit-identical to uncached elaboration, signatures only collapse when
-// the synthesized netlist is provably identical, and the on-disk cache
-// records use the same keys and codec.
+// Every result is bit-identical to measuring the component alone with
+// a private elaboration cache and no sharing (the standalone reference
+// pipeline the tests keep): the elaboration cache's entries are
+// bit-identical to uncached elaboration, and signatures only collapse
+// when the synthesized netlist is provably identical.
 //
 // A Session must not outlive its design and must not be shared across
 // designs. It is safe for concurrent use.
@@ -219,29 +219,13 @@ func (s *Session) prepBatch(n int, opts Options) *cache.Snapshot {
 }
 
 // MeasureAll measures every unit of the batch, sharing the parse, the
-// elaboration cache, and one synthesis per distinct signature across
-// all of them. Results are returned in unit order and are bit-identical
-// to calling MeasureComponent(design, u.Top, u.UseAccounting, opts)
-// per unit, at every concurrency and with the disk cache off, cold, or
-// warm.
-//
-// The batch is processed grouped by top module, each group owning a
-// fresh elaboration cache that dies with it. Almost all the reuse that
-// cache offers is component-local anyway — full-tree keys are
-// hierarchical paths rooted at the top module name, so only a
-// component's own reference elaboration and flights can ever hit them,
-// and cross-component report-fragment hits are limited to shared
-// library subtrees — while a batch-global cache accretes every
-// component's trees and fragments into the live heap, and the
-// garbage-collector mark time that costs across a cold sweep outweighs
-// the extra hits. Each group plans its units — the minimization search
-// for accounting units, the declared defaults otherwise (units with a
-// warm disk-cache record skip planning entirely) — registers their
-// canonical signatures in the shared flight table, and synthesizes the
-// distinct signatures it owns exactly once. Aggregate: each unit
-// assembles its result from its signature's shared entry plus its own
-// per-module source metrics, and persists it through the disk cache
-// under the same key the per-component path uses.
+// elaboration caches, and one synthesis per distinct signature across
+// all of them. Results are returned in unit order and are identical at
+// every concurrency and with the disk cache off, cold, or warm. On
+// failure the error is the one of the lowest-index failing unit. It is
+// the streaming engine (see measureGroups) with a collecting yield and
+// no flight eviction, so later calls on the session share every
+// signature this one synthesized.
 func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, error) {
 	return s.MeasureAllCtx(context.Background(), units, opts)
 }
@@ -261,75 +245,16 @@ func (s *Session) MeasureAll(units []Unit, opts Options) ([]*ComponentResult, er
 // it, but can never poison the session (the ctx tests pin a post-cancel
 // MeasureAll bit-identical to a fresh session's).
 func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options) ([]*ComponentResult, error) {
-	// When the group pool is parallel the minimization search's inner
-	// candidate pool is serialized so the machine is not oversubscribed
-	// (same policy as the per-component corpus path).
-	inner := opts.Concurrency
-	if parallel.Workers(opts.Concurrency) > 1 {
-		inner = 1
-	}
-	elabBefore := s.ElabStats()
-	snap := s.prepBatch(len(units), opts)
-
-	var tops []string
-	groups := map[string][]int{}
-	for i, u := range units {
-		if _, ok := groups[u.Top]; !ok {
-			tops = append(tops, u.Top)
-		}
-		groups[u.Top] = append(groups[u.Top], i)
-	}
-
-	// Phase 1: plan and synthesize, one component per worker. Errors are
-	// carried in the plan, not returned, so every registered flight has
-	// an owner that will resolve it even when a sibling unit fails;
-	// owned flights are always resolved — synthesizeFlight closes done
-	// unconditionally — so concurrent MeasureAll calls waiting on them
-	// cannot deadlock.
-	plans := make([]*plan, len(units))
-	// Each worker holds one scratch workspace from the process-wide
-	// pool for its whole run, so steady-state synthesis and metric
-	// extraction reuse buffers instead of reallocating per flight.
-	locals := parallel.NewLocal(opts.Concurrency, getWorkspace)
-	parallel.ForEachWorker(opts.Concurrency, len(tops), func(worker, gi int) error {
-		top := tops[gi]
-		ecache := elab.NewCache()
-		var owned []*plan
-		for _, i := range groups[top] {
-			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
-			plans[i] = p
-			if p.owned != nil {
-				owned = append(owned, p)
-			}
-		}
-		for _, p := range owned {
-			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap)
-		}
-		// Every signature of this component this call can ever own is
-		// now resolved; later hits come from the flight table, not from
-		// re-elaboration, so the component's cache retires here.
-		s.addElabStats(ecache.Stats())
+	results := make([]*ComponentResult, len(units))
+	errs := make([]error, len(units))
+	s.measureGroups(ctx, units, opts, false, func(i int, res *ComponentResult, err error) error {
+		results[i], errs[i] = res, err
 		return nil
 	})
-	for _, w := range locals.All() {
-		putWorkspace(w)
-	}
-
-	// Phase 2: aggregate per unit and persist through the disk cache.
-	results, err := parallel.Map(opts.Concurrency, len(units), func(i int) (*ComponentResult, error) {
-		return s.assembleUnit(ctx, units[i], plans[i], opts, snap)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	totalHits, totalMisses := 0, 0
-	for _, p := range plans {
-		totalHits += p.hits
-		totalMisses += p.misses
-	}
-	if opts.ElabStats != nil {
-		opts.ElabStats.Add(s.ElabStats().Sub(elabBefore), totalHits, totalMisses)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
 }
@@ -347,13 +272,13 @@ func (s *Session) MeasureAllCtx(ctx context.Context, units []Unit, opts Options)
 // unit's index and its result; calls are serialized (never concurrent)
 // but arrive in completion order, not unit order, and the result is
 // only guaranteed valid during the call — retain a projection, not the
-// pointer, to keep eviction effective. A non-nil yield error aborts
-// the batch. Every result is bit-identical to MeasureAll's for the
-// same unit. Flight eviction is safe because a signature key embeds
-// its top module's name, so every unit that can share a flight is in
-// the evicting group; a later call measuring the same top synthesizes
-// it again (through the warm disk cache when one is attached), and the
-// session's Synthesized counter counts it again.
+// pointer, to keep eviction effective. A unit's measurement error or a
+// non-nil yield error aborts the batch. Every result is bit-identical
+// to MeasureAll's for the same unit. Flight eviction is safe because a
+// signature key embeds its top module's name, so every unit that can
+// share a flight is in the evicting group; a later call measuring the
+// same top synthesizes it again (through the warm disk cache when one
+// is attached), and the session's Synthesized counter counts it again.
 func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
 	return s.MeasureStreamCtx(context.Background(), units, opts, yield)
 }
@@ -362,6 +287,43 @@ func (s *Session) MeasureStream(units []Unit, opts Options, yield func(i int, re
 // cancellation contract: unit-granular checks, abandoned flights
 // resolved with the context error and evicted.
 func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Options, yield func(i int, res *ComponentResult) error) error {
+	return s.measureGroups(ctx, units, opts, true, func(i int, res *ComponentResult, err error) error {
+		if err != nil {
+			return err
+		}
+		return yield(i, res)
+	})
+}
+
+// measureGroups is the session's one measurement engine. The batch is
+// processed grouped by top module, one group per worker, each group
+// owning a fresh elaboration cache that dies with it. Almost all the
+// reuse that cache offers is component-local anyway — full-tree keys
+// are hierarchical paths rooted at the top module name, so only a
+// component's own reference elaboration, probes, and flights can ever
+// hit them — while a batch-global cache accretes every component's
+// trees into the live heap, and the garbage-collector mark time that
+// costs across a cold sweep outweighs the extra hits.
+//
+// Each group plans its units — the minimization search for accounting
+// units, the declared defaults otherwise (units with a warm disk-cache
+// record skip planning entirely) — registers their canonical
+// signatures in the shared flight table, synthesizes the distinct
+// signatures it owns exactly once, then assembles each unit from its
+// signature's shared entry plus its own per-module source metrics,
+// persisting it through the disk cache. Planning errors are carried in
+// the plan, not returned, so every registered flight has an owner that
+// resolves it even when a sibling unit fails; owned flights are always
+// resolved — synthesizeFlight closes done unconditionally — so
+// concurrent calls waiting on them cannot deadlock.
+//
+// yield is called once per visited unit with its result or error,
+// serialized; a non-nil return aborts the batch (groups not yet started
+// are skipped) and is returned. With evict, each group's owned flights
+// leave the shared table once its units are assembled.
+func (s *Session) measureGroups(ctx context.Context, units []Unit, opts Options, evict bool, yield func(i int, res *ComponentResult, err error) error) error {
+	// When the group pool is parallel the minimization search's inner
+	// candidate pool is serialized so the machine is not oversubscribed.
 	inner := opts.Concurrency
 	if parallel.Workers(opts.Concurrency) > 1 {
 		inner = 1
@@ -380,17 +342,21 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 
 	var ymu sync.Mutex
 	var hits, misses atomic.Int64
+	// Each worker holds one scratch workspace from the process-wide
+	// pool for its whole run, so steady-state synthesis and metric
+	// extraction reuse buffers instead of reallocating per flight.
 	locals := parallel.NewLocal(opts.Concurrency, getWorkspace)
 	err := parallel.ForEachWorker(opts.Concurrency, len(tops), func(worker, gi int) error {
-		top := tops[gi]
 		ecache := elab.NewCache()
-		idx := groups[top]
+		idx := groups[tops[gi]]
 		plans := make([]*plan, len(idx))
 		var owned []*plan
 		var keys []string
 		for j, i := range idx {
 			p := s.planUnit(ctx, units[i], opts, inner, ecache, snap)
 			plans[j] = p
+			hits.Add(int64(p.hits))
+			misses.Add(int64(p.misses))
 			if p.owned != nil {
 				owned = append(owned, p)
 				keys = append(keys, p.sigKey)
@@ -399,23 +365,21 @@ func (s *Session) MeasureStreamCtx(ctx context.Context, units []Unit, opts Optio
 		for _, p := range owned {
 			s.synthesizeFlight(ctx, p, opts, ecache, locals.Get(worker), snap)
 		}
+		// Every signature of this group this call can ever own is now
+		// resolved; later hits come from the flight table, not from
+		// re-elaboration, so the group's cache retires here.
 		s.addElabStats(ecache.Stats())
-		// Evict only the flights this group owns: every one is resolved
-		// (synthesizeFlight always closes done before this point), and
-		// waiters holding the pointer — a concurrent call that planned the
-		// same top — are unaffected by the map delete. A flight some
-		// other call owns stays put.
-		defer s.evictFlights(keys)
+		if evict {
+			// Evict only the flights this group owns: every one is
+			// resolved, and waiters holding the pointer — a concurrent
+			// call that planned the same top — are unaffected by the map
+			// delete. A flight some other call owns stays put.
+			defer s.evictFlights(keys)
+		}
 		for j, i := range idx {
-			p := plans[j]
-			hits.Add(int64(p.hits))
-			misses.Add(int64(p.misses))
-			res, err := s.assembleUnit(ctx, units[i], p, opts, snap)
-			if err != nil {
-				return err
-			}
+			res, err := s.assembleUnit(ctx, units[i], plans[j], opts, snap)
 			ymu.Lock()
-			yerr := yield(i, res)
+			yerr := yield(i, res, err)
 			ymu.Unlock()
 			if yerr != nil {
 				return yerr
@@ -491,7 +455,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 	}
 	p.sigKey = cache.Key(append([]string{
 		"session-sig", sig, "dedup=" + dedupKey,
-		fmt.Sprintf("notmpl=%t", opts.DisableTemplates),
 	}, opts.CacheKeyParts()...)...)
 	if opts.Cache != nil {
 		// The disk form of the signature entry additionally hashes the
@@ -504,7 +467,6 @@ func (s *Session) planUnit(ctx context.Context, u Unit, opts Options, inner int,
 		}
 		p.diskSigKey = cache.KindKey("sig", append([]string{
 			st, sig, "dedup=" + dedupKey,
-			fmt.Sprintf("notmpl=%t", opts.DisableTemplates),
 		}, opts.CacheKeyParts()...)...)
 	}
 
@@ -658,9 +620,8 @@ func (s *Session) synthesizeFlight(ctx context.Context, p *plan, opts Options, e
 			sws = ws.synth
 		}
 		synres, err := synth.SynthesizeInstance(inst, report, synth.LowerOptions{
-			DedupInstances:   p.dedup,
-			DisableTemplates: opts.DisableTemplates,
-			Workspace:        sws,
+			DedupInstances: p.dedup,
+			Workspace:      sws,
 		})
 		if err != nil {
 			return nil, err
@@ -765,9 +726,8 @@ func (s *Session) assembleUnit(ctx context.Context, u Unit, p *plan, opts Option
 	if opts.Cache == nil {
 		return res, nil
 	}
-	// Same key and codec as the per-component path: a cold batch
-	// populates the entries MeasureComponent would, and in verify mode
-	// the batch result is compared against the stored record.
+	// In verify mode the batch result is compared against the stored
+	// record.
 	rec, _, err := cache.DoEqHint(opts.Cache, p.compKey, recordCodec, func() (*componentRecord, error) {
 		return recordOf(res), nil
 	}, compareRecords, snap)

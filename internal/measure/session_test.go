@@ -38,8 +38,9 @@ func sameResult(t *testing.T, label string, got, want *measure.ComponentResult) 
 // TestSessionMatchesPerComponentCorpus is the golden differential test
 // of the batch path: every corpus component, measured with and without
 // the accounting procedure through one Session over the full corpus
-// design, must be bit-identical to the per-component MeasureComponent
-// path on the component's own two-file design — at concurrency 1 and
+// design, must be bit-identical to the standalone reference pipeline
+// (measureComponent, kept in the tests) on the component's own two-file
+// design — at concurrency 1 and
 // 8, with the disk cache off, cold, and warm. The warm batch must be
 // answered entirely from disk: nothing planned, nothing synthesized,
 // zero cache misses.
@@ -52,15 +53,15 @@ func TestSessionMatchesPerComponentCorpus(t *testing.T) {
 		}
 	}
 
-	// Reference: the per-component path, each component on its own
-	// parsed design, sequential, no cache.
+	// Reference: the standalone per-component pipeline, each component
+	// on its own parsed design, sequential, no cache.
 	want := make([]*measure.ComponentResult, len(units))
 	for i, c := range append(append([]designs.Component{}, comps...), comps...) {
 		d, err := designs.Design(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := measure.MeasureComponent(d, c.Top, units[i].UseAccounting, measure.Options{Concurrency: 1})
+		res, err := measure.MeasureComponentReference(d, c.Top, units[i].UseAccounting, measure.Options{Concurrency: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Label(), err)
 		}
@@ -317,5 +318,40 @@ endmodule`}
 	}
 	if s.Shared != s.Planned-s.Synthesized {
 		t.Errorf("stats %+v: shared != planned-synthesized", s)
+	}
+}
+
+// TestMeasureAllLowestIndexError pins MeasureAll's error contract: when
+// units in different top-module groups fail, the error returned is the
+// lowest-index failing unit's, not the error of whichever group ran
+// first. Here the "div" group (units 0 and 2) is measured before the
+// "nosuch" group (unit 1), and its accounting unit fails because the
+// scaling rule shrinks the divisor to 0, which lowering rejects.
+func TestMeasureAllLowestIndexError(t *testing.T) {
+	d, err := hdl.ParseDesign(map[string]string{"div.v": `
+module div #(parameter D = 4) (input [7:0] a, output [7:0] y);
+  assign y = a / D;
+endmodule`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := []measure.Unit{
+		{Top: "div", UseAccounting: false},
+		{Top: "nosuch"},
+		{Top: "div", UseAccounting: true},
+	}
+	// Each failure on its own, so the test also shows both units fail.
+	for _, i := range []int{1, 2} {
+		if _, err := measure.NewSession(d).MeasureAll(units[i:i+1], measure.Options{Concurrency: 1}); err == nil {
+			t.Fatalf("unit %d (%+v) measured without error", i, units[i])
+		}
+	}
+	if _, err := measure.NewSession(d).MeasureAll(units[:1], measure.Options{Concurrency: 1}); err != nil {
+		t.Fatalf("unit 0: %v", err)
+	}
+	_, want := measure.NewSession(d).MeasureAll(units[1:2], measure.Options{Concurrency: 1})
+	_, err = measure.NewSession(d).MeasureAll(units, measure.Options{Concurrency: 1})
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("batch error %v, want unit 1's error %v", err, want)
 	}
 }

@@ -261,43 +261,13 @@ func DecodeResponse(data []byte) (*Response, error) {
 	return resp, nil
 }
 
-func appendMetrics(dst []byte, m *measure.Metrics) []byte {
-	dst = codec.AppendVarint(dst, int64(m.Stmts))
-	dst = codec.AppendVarint(dst, int64(m.LoC))
-	dst = codec.AppendVarint(dst, int64(m.FanInLC))
-	dst = codec.AppendVarint(dst, int64(m.FanInLCExact))
-	dst = codec.AppendVarint(dst, int64(m.Nets))
-	dst = codec.AppendVarint(dst, int64(m.Cells))
-	dst = codec.AppendVarint(dst, int64(m.FFs))
-	dst = codec.AppendFloat64(dst, m.FreqMHz)
-	dst = codec.AppendFloat64(dst, m.AreaL)
-	dst = codec.AppendFloat64(dst, m.AreaS)
-	dst = codec.AppendFloat64(dst, m.PowerD)
-	dst = codec.AppendFloat64(dst, m.PowerS)
-	return dst
-}
-
-func decodeMetrics(r *codec.Reader) measure.Metrics {
-	var m measure.Metrics
-	m.Stmts = int(r.Varint())
-	m.LoC = int(r.Varint())
-	m.FanInLC = int(r.Varint())
-	m.FanInLCExact = int(r.Varint())
-	m.Nets = int(r.Varint())
-	m.Cells = int(r.Varint())
-	m.FFs = int(r.Varint())
-	m.FreqMHz = r.Float64()
-	m.AreaL = r.Float64()
-	m.AreaS = r.Float64()
-	m.PowerD = r.Float64()
-	m.PowerS = r.Float64()
-	return m
-}
-
+// appendUnitResult encodes one unit; its metric vector uses the same
+// encoder as the measurement cache's records (measure.AppendMetrics),
+// so a change to that layout is a SchemaVersion bump here too.
 func appendUnitResult(dst []byte, u *UnitResult) []byte {
 	dst = codec.AppendString(dst, u.Top)
 	dst = codec.AppendBool(dst, u.Accounting)
-	dst = appendMetrics(dst, &u.Metrics)
+	dst = measure.AppendMetrics(dst, &u.Metrics)
 	dst = codec.AppendVarint(dst, int64(u.InstanceCount))
 	dst = codec.AppendVarint(dst, int64(u.DedupedInstances))
 	dst = codec.AppendUvarint(dst, uint64(len(u.UniqueModules)))
@@ -323,7 +293,7 @@ func decodeUnitResult(r *codec.Reader) UnitResult {
 	var u UnitResult
 	u.Top = r.String()
 	u.Accounting = r.Bool()
-	u.Metrics = decodeMetrics(r)
+	u.Metrics = measure.DecodeMetrics(r)
 	u.InstanceCount = int(r.Varint())
 	u.DedupedInstances = int(r.Varint())
 	if n := r.Count(1); n > 0 {

@@ -35,6 +35,13 @@
 # in the sharded planner fails CI with the scale test's name in the
 # output rather than somewhere inside a package-wide run.
 #
+# A perfbench stage vets and tests the benchmark's separate Go module
+# (perfbench/, which pulls the repository in through a replace
+# directive) under perfbench/run.sh's module settings. The root
+# `go build ./...` never compiles that module, so without this stage an
+# API change the benchmark depends on would only surface when the
+# benchmark runs. It has no skip variable.
+#
 # Usage:
 #   scripts/ci.sh                      # tier-1 + fuzz smoke + cover + bench gate
 #   SKIP_BENCH=1 scripts/ci.sh         # skip the bench baseline diff
@@ -56,6 +63,9 @@ echo "== tier-1: test =="
 go test ./...
 echo "== tier-1: race =="
 go test -race ./internal/parallel ./internal/nlme ./internal/paper ./internal/elab ./internal/accounting ./internal/measure ./internal/core ./internal/depgraph ./internal/serve
+
+echo "== perfbench module: vet + test =="
+(cd perfbench && export GOWORK=off GOFLAGS=-mod=mod GOTOOLCHAIN=local && go vet . && go test .)
 
 if [ "${SKIP_SCALE:-0}" != "1" ]; then
 	echo "== scale smoke (generated 100-component corpus, -race) =="
