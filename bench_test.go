@@ -559,8 +559,10 @@ func BenchmarkAblationQuadrature(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMultistart compares the multi-start Nelder–Mead
-// fit against a single scale-seeded start.
+// BenchmarkAblationMultistart times the full multi-start mixed fit of
+// DEE1 (Stmts + FanInLC) and reports its σε. It has one arm only: the
+// fitter exposes no start count, so there is no single-start fit to
+// compare against.
 func BenchmarkAblationMultistart(b *testing.B) {
 	b.ReportAllocs()
 	d := paperNLMEData(b, dataset.Stmts, dataset.FanInLC)

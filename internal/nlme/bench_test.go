@@ -16,6 +16,18 @@ func BenchmarkFitDEE1(b *testing.B) {
 	}
 }
 
+// BenchmarkFitSingle is the fit behind 11 of the 12 Table 4 rows: a
+// single-metric mixed model, on one core.
+func BenchmarkFitSingle(b *testing.B) {
+	b.ReportAllocs()
+	d := paperData(dataset.Stmts)
+	for i := 0; i < b.N; i++ {
+		if _, err := FitOpts(d, FitOptions{Concurrency: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFitFixedSingle(b *testing.B) {
 	b.ReportAllocs()
 	d := paperData(dataset.Stmts)

@@ -24,16 +24,16 @@
 // multivariate normal with compound-symmetric covariance σε²·I + σρ²·J.
 // The marginal log-likelihood therefore has a closed form
 // (Sherman–Morrison inverse and rank-one determinant), which this
-// package maximizes over the weights w_k and the variance ratio
-// λ = σρ²/σε², with σε² profiled out analytically. This is exactly the
+// package maximizes over the weight ratios w_k/w_1 and the variance
+// ratio λ = σρ²/σε², with σε² and the weight scale profiled out
+// analytically (the scale is a GLS intercept). This is exactly the
 // ML objective that SAS PROC NLMIXED and R nlme(method="ML") maximize
 // for this model, so σε, σρ, AIC, and BIC are directly comparable with
 // the paper's Table 4 and Section 5.1.1.
 //
-// An adaptive Gauss–Hermite integrator over the random effect is
-// provided as an independent cross-check of the closed form
-// (LogLikelihoodGH), mirroring how NLMIXED actually evaluates such
-// integrals.
+// An adaptive Gauss–Hermite integrator over the random effect is an
+// independent cross-check of the closed form (LogLikelihoodGH),
+// mirroring how NLMIXED actually evaluates such integrals.
 //
 // Setting ρ_i = 1 for all i (Section 3.2) removes the random effect;
 // FitFixed implements that simpler multiple-regression model for the

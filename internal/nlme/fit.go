@@ -1,8 +1,10 @@
 package nlme
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/stats"
@@ -80,62 +82,130 @@ func (r *Result) ConfidenceInterval(eff, conf float64) (lo, hi float64) {
 	return yl * eff, yh * eff
 }
 
-// profiledObjective builds the negative profiled log-likelihood of the
-// mixed model over θ = (log w_1..log w_k, log λ) where λ = σρ²/σε².
+// ErrDegenerate reports data the model fits exactly: the ML σε² is
+// zero, so the likelihood has no maximum (it grows as σε → 0).
+var ErrDegenerate = errors.New("nlme: residual variance is zero; likelihood unbounded")
+
+// minVarEps is the σε² at or below which a fit counts as exact: on
+// exactly proportional data rounding leaves log residuals near 1e-15,
+// while no effort data is fitted to one part in 10⁹.
+const minVarEps = 1e-18
+
+// profile is the marginal likelihood of one fit with σε² and the
+// weight scale profiled out in closed form.
 //
-// With residuals r_ij = log Eff_ij − log η_ij and group sizes n_i, the
+// The weights are w_k = e^β·v_k with v_1 = 1 and v_j = e^{φ_j}, so
+// log η_ij = β + a_ij with a_ij = log Σ_k v_k·m_ijk. With
+// z_ij = log Eff_ij − a_ij, group sizes n_i and λ = σρ²/σε², the
 // marginal covariance of group i is σε²(I + λJ), giving
 //
-//	−2·logL = n·log 2π + n·log σε² + Σ_i log(1+n_i·λ) + Q(λ,w)/σε²
-//	Q(λ,w)  = Σ_i [ Σ_j r_ij² − λ/(1+n_i·λ)·(Σ_j r_ij)² ]
+//	−2·logL = n·log 2π + n·log σε² + Σ_i log(1+n_i·λ) + Q/σε²
+//	Q       = Σ_i [ Σ_j (z_ij−β)² − λ/(1+n_i·λ)·(Σ_j (z_ij−β))² ]
+//	        = Σ_i [ W_i + c_i·(S_i − n_i·β)²/n_i ],  c_i = 1/(1+n_i·λ)
 //
-// and the ML σε² given (w, λ) is Q/n, which is substituted back in.
-//
-// The returned closure owns reusable weight and predictor-log scratch,
-// so repeated evaluations allocate nothing — and for the same reason it
-// is NOT safe for concurrent calls. Multi-start optimization hands each
-// pool worker its own closure via stats.MinimizeMultistartFunc; the
-// scratch never changes a computed value (every entry read is written
-// first on each evaluation), so results stay bit-identical to the
-// allocate-per-eval form.
-func (d *Data) profiledObjective(members [][]int, logEff []float64) func(theta []float64) float64 {
-	k := d.NumMetrics()
-	n := d.NumObs()
-	w := make([]float64, k)
-	logEta := make([]float64, n)
-	return func(theta []float64) float64 {
-		for i := 0; i < k; i++ {
-			if theta[i] > 400 || theta[i] < -400 {
-				return math.Inf(1)
-			}
-			w[i] = math.Exp(theta[i])
-		}
-		lambda := math.Exp(theta[k])
-		if math.IsInf(lambda, 1) {
-			return math.Inf(1)
-		}
-		if d.predictorLogsInto(logEta, w) != nil {
-			return math.Inf(1)
-		}
-		var q, logDetTerm float64
-		for _, idx := range members {
-			var sum, sumsq float64
-			for _, i := range idx {
-				r := logEff[i] - logEta[i]
-				sum += r
-				sumsq += r * r
-			}
-			ni := float64(len(idx))
-			q += sumsq - lambda/(1+ni*lambda)*sum*sum
-			logDetTerm += math.Log(1 + ni*lambda)
-		}
-		if q <= 0 || math.IsNaN(q) {
-			return math.Inf(1)
-		}
-		nn := float64(n)
-		// −logL with σε² profiled at Q/n.
-		return 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(q/nn) + logDetTerm + nn)
+// where S_i = Σ_j z_ij and W_i = Σ_j (z_ij − S_i/n_i)². The ML σε² is
+// Q/n and the ML β is the GLS intercept Σ_i c_i·S_i / Σ_i c_i·n_i;
+// both are substituted back, so the search runs over
+// x = (φ_2..φ_k, log λ), or over φ alone for the fixed model (λ = 0).
+// The second form of Q sums non-negative terms, so it cannot cancel
+// below zero as the fit becomes exact.
+type profile struct {
+	d       *Data
+	members [][]int
+	logEff  []float64
+	mixed   bool
+}
+
+// evaluator is one evaluation context of a profile: it owns the ratio
+// weights v, the predictor logs a, the group sums S_i and Σ_i W_i, so
+// evaluations allocate nothing and it is NOT safe for concurrent calls.
+// Each multi-start pool worker gets its own; every value read is
+// written first on each evaluation (with one metric, once per fit), so
+// results are bit-identical for every worker count.
+type evaluator struct {
+	*profile
+	v, a, sum []float64
+	within    float64
+}
+
+func (p *profile) newEvaluator() *evaluator {
+	e := &evaluator{
+		profile: p,
+		v:       make([]float64, p.d.NumMetrics()),
+		a:       make([]float64, len(p.logEff)),
+		sum:     make([]float64, len(p.members)),
 	}
+	e.v[0] = 1
+	if len(e.v) == 1 {
+		// a_i = log m_i does not depend on the search point.
+		e.groupStats()
+	}
+	return e
+}
+
+// groupStats recomputes a, S_i and Σ_i W_i under the current v. It
+// reports false for ratio weights that make a predictor non-positive.
+func (e *evaluator) groupStats() bool {
+	if e.d.predictorLogsInto(e.a, e.v) != nil {
+		return false
+	}
+	e.within = 0
+	for g, idx := range e.members {
+		var s float64
+		for _, i := range idx {
+			s += e.logEff[i] - e.a[i]
+		}
+		mean := s / float64(len(idx))
+		for _, i := range idx {
+			r := e.logEff[i] - e.a[i] - mean
+			e.within += r * r
+		}
+		e.sum[g] = s
+	}
+	return true
+}
+
+// at evaluates the profile at x and returns −logL with the profiled β
+// and σε² and the ratio λ. An x outside the ±400 box, or one making a
+// predictor non-positive, gives nll = +Inf.
+func (e *evaluator) at(x []float64) (nll, beta, varEps, lambda float64) {
+	for _, xj := range x {
+		if math.Abs(xj) > 400 {
+			return math.Inf(1), 0, 0, 0
+		}
+	}
+	k := len(e.v)
+	for j := 1; j < k; j++ {
+		e.v[j] = math.Exp(x[j-1])
+	}
+	if k > 1 && !e.groupStats() {
+		return math.Inf(1), 0, 0, 0
+	}
+	if e.mixed {
+		lambda = math.Exp(x[k-1])
+	}
+	var num, den, logDet float64
+	for g, idx := range e.members {
+		ng := float64(len(idx))
+		c := 1 / (1 + ng*lambda)
+		num += c * e.sum[g]
+		den += c * ng
+		logDet += math.Log(1 + ng*lambda)
+	}
+	beta = num / den
+	q := e.within
+	for g, idx := range e.members {
+		ng := float64(len(idx))
+		r := e.sum[g] - ng*beta
+		q += r * r / (ng * (1 + ng*lambda))
+	}
+	nn := float64(len(e.logEff))
+	varEps = q / nn
+	// Toward σε² = 0 the likelihood is unbounded. Holding σε² at half
+	// the floor keeps the search finite; on such data it settles where
+	// the hold starts, inside the band fit reports as ErrDegenerate.
+	nll = 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(math.Max(varEps, minVarEps/2)) + logDet + nn)
+	return nll, beta, varEps, lambda
 }
 
 // FitOptions configures Fit and FitFixed.
@@ -150,278 +220,208 @@ type FitOptions struct {
 
 // Fit maximizes the marginal likelihood of the mixed-effects model and
 // returns the fitted weights, variance components, productivities, and
-// information criteria. It uses multi-start Nelder–Mead over
-// log-weights and the log variance ratio; starting points are seeded
-// from per-metric effort/metric scale ratios and an OLS fit. The
-// restarts run concurrently on every available core; use FitOpts to
-// bound or serialize them.
+// information criteria. The weight scale and σε² are profiled out in
+// closed form; multi-start Nelder–Mead searches the weight ratios and
+// the log variance ratio, seeded from per-metric effort/metric scale
+// ratios and an OLS fit. The restarts run concurrently on every
+// available core; use FitOpts to bound or serialize them. Data the
+// model fits exactly fail with ErrDegenerate.
 func Fit(d *Data) (*Result, error) {
 	return FitOpts(d, FitOptions{})
 }
 
 // FitOpts is Fit with explicit options.
 func FitOpts(d *Data, opts FitOptions) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	n := d.NumObs()
-	k := d.NumMetrics()
-	names, members := d.groupIndex()
-	if len(names) < 2 {
-		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
-	}
-	logEff := make([]float64, n)
-	for i, e := range d.Efforts {
-		logEff[i] = math.Log(e)
-	}
-
-	// Each pool worker gets its own objective closure so the reusable
-	// scratch inside profiledObjective is never shared.
-	obj := func() func([]float64) float64 { return d.profiledObjective(members, logEff) }
-	starts := startingPoints(d, true)
-	best := stats.MinimizeMultistartFunc(obj, starts, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, opts.Concurrency)
-	if math.IsInf(best.F, 1) {
-		return nil, fmt.Errorf("nlme: optimization found no feasible point")
-	}
-
-	w := make([]float64, k)
-	for i := 0; i < k; i++ {
-		w[i] = math.Exp(best.X[i])
-	}
-	lambda := math.Exp(best.X[k])
-	logEta, err := d.predictorLogs(w)
-	if err != nil {
-		return nil, fmt.Errorf("nlme: internal: optimum infeasible: %w", err)
-	}
-	// Recover σε² = Q/n at the optimum.
-	var q float64
-	groupSum := make([]float64, len(members))
-	for gi, idx := range members {
-		var sum, sumsq float64
-		for _, i := range idx {
-			r := logEff[i] - logEta[i]
-			sum += r
-			sumsq += r * r
-		}
-		ni := float64(len(idx))
-		q += sumsq - lambda/(1+ni*lambda)*sum*sum
-		groupSum[gi] = sum
-	}
-	sigmaEps2 := q / float64(n)
-	sigmaRho2 := lambda * sigmaEps2
-
-	// Empirical-Bayes (BLUP) productivities: the posterior mean of the
-	// random effect b_i is σρ²·Σ_j r_ij / (σε² + n_i·σρ²), and
-	// ρ_i = exp(−b_i) since b_i = −log ρ_i.
-	prods := make(map[string]float64, len(names))
-	for gi, name := range names {
-		ni := float64(len(members[gi]))
-		b := sigmaRho2 * groupSum[gi] / (sigmaEps2 + ni*sigmaRho2)
-		prods[name] = math.Exp(-b)
-	}
-
-	res := &Result{
-		Weights:        w,
-		MetricNames:    append([]string(nil), d.MetricNames...),
-		SigmaEps:       math.Sqrt(sigmaEps2),
-		SigmaRho:       math.Sqrt(sigmaRho2),
-		LogLik:         -best.F,
-		NumParams:      k + 2,
-		NumObs:         n,
-		Productivities: prods,
-		Converged:      best.Converged,
-		Mixed:          true,
-	}
-	return res, nil
+	return fit(d, opts, true)
 }
 
 // FitFixed fits the model of Section 3.2 with every ρ_i forced to 1:
 // log Eff_ij = log(Σ_k w_k·m_ijk) + N(0, σε²). This is nonlinear least
 // squares on the log scale, with σε² profiled at RSS/n (the ML
-// estimate). Productivities in the result are all exactly 1.
+// estimate); a single-metric fit needs no search at all. Productivities
+// in the result are all exactly 1. Data the model fits exactly fail
+// with ErrDegenerate.
 func FitFixed(d *Data) (*Result, error) {
 	return FitFixedOpts(d, FitOptions{})
 }
 
 // FitFixedOpts is FitFixed with explicit options.
 func FitFixedOpts(d *Data, opts FitOptions) (*Result, error) {
+	return fit(d, opts, false)
+}
+
+func fit(d *Data, opts FitOptions, mixed bool) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	n := d.NumObs()
-	k := d.NumMetrics()
-	logEff := make([]float64, n)
-	for i, e := range d.Efforts {
-		logEff[i] = math.Log(e)
+	names, members := d.groupIndex()
+	if mixed && len(names) < 2 {
+		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
 	}
-	// As in FitOpts, the objective factory gives each pool worker a
-	// closure owning its own scratch, so evaluations allocate nothing.
-	obj := func() func([]float64) float64 {
-		w := make([]float64, k)
-		logEta := make([]float64, n)
-		return func(theta []float64) float64 {
-			for i := 0; i < k; i++ {
-				if theta[i] > 400 || theta[i] < -400 {
-					return math.Inf(1)
-				}
-				w[i] = math.Exp(theta[i])
-			}
-			if d.predictorLogsInto(logEta, w) != nil {
-				return math.Inf(1)
-			}
-			var rss float64
-			for i := range logEff {
-				r := logEff[i] - logEta[i]
-				rss += r * r
-			}
-			if rss <= 0 {
-				// A perfect fit; return the limit (−∞ likelihood objective
-				// would be −Inf, i.e. unboundedly good — report a huge
-				// negative number to let the optimizer accept it).
-				return math.Inf(-1)
-			}
-			nn := float64(n)
-			return 0.5 * (nn*math.Log(2*math.Pi) + nn*math.Log(rss/nn) + nn)
-		}
+	p := &profile{d: d, members: members, logEff: make([]float64, d.NumObs())}
+	for i, eff := range d.Efforts {
+		p.logEff[i] = math.Log(eff)
 	}
-	starts := startingPoints(d, false)
-	best := stats.MinimizeMultistartFunc(obj, starts, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, opts.Concurrency)
-	if math.IsInf(best.F, 1) {
+	x, converged := p.search(startingPoints(d, false), opts)
+	if mixed {
+		// The mixed model nests the fixed one at λ = 0; a seed at the fixed
+		// optimum and λ = e^−30 keeps the mixed fit from ending below it.
+		p.mixed = true
+		x, converged = p.search(append(startingPoints(d, true), append(x, -30)), opts)
+	}
+	e := p.newEvaluator()
+	nll, beta, varEps, lambda := e.at(x)
+	switch {
+	case math.IsInf(nll, 1) || math.IsNaN(nll):
 		return nil, fmt.Errorf("nlme: optimization found no feasible point")
+	case varEps <= minVarEps:
+		return nil, ErrDegenerate
 	}
-	w := make([]float64, k)
-	for i := 0; i < k; i++ {
-		w[i] = math.Exp(best.X[i])
+
+	for j := range e.v {
+		e.v[j] *= math.Exp(beta) // the ratio weights become w
 	}
-	logEta, err := d.predictorLogs(w)
-	if err != nil {
-		return nil, fmt.Errorf("nlme: internal: optimum infeasible: %w", err)
-	}
-	var rss float64
-	for i := range logEff {
-		r := logEff[i] - logEta[i]
-		rss += r * r
-	}
-	names, _ := d.groupIndex()
-	prods := make(map[string]float64, len(names))
-	for _, name := range names {
-		prods[name] = 1
-	}
-	return &Result{
-		Weights:        w,
+	res := &Result{
+		Weights:        e.v,
 		MetricNames:    append([]string(nil), d.MetricNames...),
-		SigmaEps:       math.Sqrt(rss / float64(n)),
-		SigmaRho:       0,
-		LogLik:         -best.F,
-		NumParams:      k + 1,
-		NumObs:         n,
-		Productivities: prods,
-		Converged:      best.Converged,
-		Mixed:          false,
-	}, nil
+		SigmaEps:       math.Sqrt(varEps),
+		SigmaRho:       math.Sqrt(lambda * varEps),
+		LogLik:         -nll,
+		NumParams:      len(e.v) + 1,
+		NumObs:         len(p.logEff),
+		Productivities: make(map[string]float64, len(names)),
+		Converged:      converged,
+		Mixed:          mixed,
+	}
+	if mixed {
+		res.NumParams++
+	}
+	// Empirical-Bayes (BLUP) productivities: ρ_i = exp(−b_i) for the
+	// random effect's posterior mean b_i = λ·R_i/(1+n_i·λ), where
+	// R_i = S_i − n_i·β; the fixed model (λ = 0) has every ρ_i = 1.
+	for g, name := range names {
+		ng := float64(len(members[g]))
+		res.Productivities[name] = math.Exp(-lambda * (e.sum[g] - ng*beta) / (1 + ng*lambda))
+	}
+	return res, nil
 }
 
-// startingPoints builds a set of optimizer seeds in θ-space. Each seed
-// sets log-weights from a heuristic and, for the mixed model, appends a
-// log variance-ratio seed.
+// search runs multi-start Nelder–Mead over starts and returns the best
+// point and whether it converged; a single-metric fixed fit has no search.
+func (p *profile) search(starts [][]float64, opts FitOptions) ([]float64, bool) {
+	if len(starts[0]) == 0 {
+		return nil, true
+	}
+	obj := func() func([]float64) float64 {
+		e := p.newEvaluator()
+		return func(x []float64) float64 {
+			nll, _, _, _ := e.at(x)
+			return nll
+		}
+	}
+	best := stats.MinimizeMultistartFunc(obj, starts, stats.NelderMeadOptions{MaxIter: 40000, TolF: 1e-12, TolX: 1e-9}, opts.Concurrency)
+	if best.X == nil { // no start was feasible; fit reports it
+		return starts[0], false
+	}
+	return best.X, best.Converged
+}
+
+// startingPoints builds the optimizer seeds in x-space,
+// (φ_2..φ_k[, log λ]). The weight heuristics below fix only the
+// ratios w_j/w_1; their common scale is β, which the profile solves
+// for, so seeds that differ in scale alone would be duplicates.
 func startingPoints(d *Data, mixed bool) [][]float64 {
 	k := d.NumMetrics()
-	n := d.NumObs()
-
-	// All seeds live in one backing array: fitting is called once per
-	// bootstrap/probe evaluation, so the dozen-plus small slices the
-	// naive construction allocates add up on the measurement hot path.
-	nb := 4
-	if k == 2 {
-		nb = 6
+	ratios := func(logW []float64) []float64 {
+		phi := make([]float64, k-1)
+		for j := range phi {
+			phi[j] = logW[j+1] - logW[0]
+		}
+		return phi
 	}
-	dim, per := k, 1
-	if mixed {
-		dim, per = k+1, 3
-	}
-	count := nb * per
-	backing := make([]float64, count*dim+nb*k)
-	baseArea := backing[count*dim:]
-	baseAt := func(i int) []float64 { return baseArea[i*k : (i+1)*k] }
 
 	// Heuristic 1: w_k = mean(effort) / (k · mean(metric_k)), the scale
 	// that makes each term contribute equally on average.
 	meanEff := stats.Mean(d.Efforts)
-	scaleSeed := baseAt(0)
+	scaleSeed := make([]float64, k)
 	for j := 0; j < k; j++ {
 		var s float64
 		cnt := 0
-		for i := 0; i < n; i++ {
-			if d.Metrics[i][j] > 0 {
-				s += d.Metrics[i][j]
+		for _, row := range d.Metrics {
+			if row[j] > 0 {
+				s += row[j]
 				cnt++
 			}
 		}
-		if cnt == 0 || s == 0 {
-			scaleSeed[j] = math.Log(1e-6)
-			continue
+		scaleSeed[j] = math.Log(1e-6)
+		if cnt > 0 {
+			scaleSeed[j] = math.Log(meanEff / (float64(k) * s / float64(cnt)))
 		}
-		scaleSeed[j] = math.Log(meanEff / (float64(k) * s / float64(cnt)))
+	}
+	bases := [][]float64{ratios(scaleSeed)}
+	if k > 1 {
+		// Heuristic 2: non-negative OLS of effort on metrics (negative
+		// coefficients clipped to a tiny positive fraction of the scale
+		// seed).
+		x := stats.NewMatrix(len(d.Metrics), k)
+		for i, row := range d.Metrics {
+			copy(x.Data[i*k:], row)
+		}
+		if beta, _, err := stats.OLS(x, d.Efforts); err == nil {
+			logW := append([]float64(nil), scaleSeed...)
+			for j, b := range beta {
+				if b > 0 {
+					logW[j] = math.Log(b)
+				} else {
+					logW[j] -= 4 // strongly down-weighted
+				}
+			}
+			bases = append(bases, ratios(logW))
+		}
 	}
 
-	// Heuristic 2: non-negative OLS of effort on metrics (negative
-	// coefficients clipped to a tiny positive fraction of the scale seed).
-	olsSeed := baseAt(1)
-	copy(olsSeed, scaleSeed)
-	x := stats.NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			x.Set(i, j, d.Metrics[i][j])
-		}
-	}
-	if beta, _, err := stats.OLS(x, d.Efforts); err == nil {
-		for j := 0; j < k; j++ {
-			if beta[j] > 0 {
-				olsSeed[j] = math.Log(beta[j])
-			} else {
-				olsSeed[j] = scaleSeed[j] - 4 // strongly down-weighted
+	// The surface has plateaus and local optima wherever weights are
+	// pinned near zero, which interior seeds rarely reach. So for up to
+	// three metrics every subset seeds its own region: metrics outside it
+	// start e^30 below the scale seed, on the face where their weights
+	// vanish, and each member of a subset of two or more leads the rest
+	// by e^6 (of three, also trails). For DEE1 that is φ ∓ 6 and the two
+	// single-metric faces; past three metrics the 2^k subsets would
+	// outcost the whole θ-space search. The mixed model crosses seeds
+	// inside the weight space with λ ∈ {¼, 1, 4}, those on a face λ = 1.
+	interior := len(bases)
+	for mask := 1<<k - 1; mask > 0 && k <= 3; mask-- {
+		face := append([]float64(nil), scaleSeed...)
+		for j := range face {
+			if mask&(1<<j) == 0 {
+				face[j] -= 30
 			}
 		}
-	}
-
-	// Perturbed variants widen the basin coverage deterministically.
-	for bi, delta := range []float64{-2, 2} {
-		v := baseAt(2 + bi)
-		copy(v, scaleSeed)
-		for j := range v {
-			v[j] += delta
+		if mask != 1<<k-1 {
+			bases = append(bases, ratios(face))
+		}
+		for lead := 0; lead < k && mask&(mask-1) != 0; lead++ {
+			for _, shift := range []float64{6, -6} {
+				if mask&(1<<lead) != 0 && (shift > 0 || bits.OnesCount(uint(mask)) > 2) {
+					logW := append([]float64(nil), face...)
+					logW[lead] += shift
+					bases = append(bases, ratios(logW))
+				}
+			}
+		}
+		if mask == 1<<k-1 {
+			interior = len(bases)
 		}
 	}
-	if k == 2 {
-		// Lopsided seeds matter for two-metric estimators like DEE1
-		// where one metric may dominate.
-		a := baseAt(4)
-		copy(a, scaleSeed)
-		a[0] += 3
-		a[1] -= 3
-		b := baseAt(5)
-		copy(b, scaleSeed)
-		b[0] -= 3
-		b[1] += 3
-	}
-
-	starts := make([][]float64, count)
 	if !mixed {
-		for i := range starts {
-			row := backing[i*dim : (i+1)*dim]
-			copy(row, baseAt(i))
-			starts[i] = row
-		}
-		return starts
+		return bases
 	}
-	logLambdas := [3]float64{math.Log(0.25), math.Log(1), math.Log(4)}
-	for bi := 0; bi < nb; bi++ {
-		for li, logLambda := range logLambdas {
-			i := bi*per + li
-			row := backing[i*dim : (i+1)*dim]
-			copy(row, baseAt(bi))
-			row[k] = logLambda
-			starts[i] = row
+	starts := make([][]float64, 0, 3*len(bases))
+	for i, phi := range bases {
+		for _, logLambda := range [3]float64{math.Log(0.25), 0, math.Log(4)} {
+			if logLambda == 0 || i < interior {
+				starts = append(starts, append(append([]float64(nil), phi...), logLambda))
+			}
 		}
 	}
 	return starts

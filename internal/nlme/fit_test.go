@@ -1,6 +1,7 @@
 package nlme
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,40 +153,46 @@ func TestFitLogLikConsistency(t *testing.T) {
 	}
 }
 
-func TestFitRecoverySynthetic(t *testing.T) {
-	// Generate data from a known model and verify parameter recovery.
+// The single-metric model recoveryData draws from.
+const (
+	recoveryW        = 0.05
+	recoverySigmaEps = 0.25
+	recoverySigmaRho = 0.5
+)
+
+// recoveryData draws 12 projects of 10 components from the model
+// above.
+func recoveryData() *Data {
 	rng := rand.New(rand.NewSource(42))
-	const (
-		nGroups  = 12
-		perGroup = 10
-		wTrue    = 0.05
-		seTrue   = 0.25
-		srTrue   = 0.5
-	)
 	d := &Data{MetricNames: []string{"m"}}
-	for g := 0; g < nGroups; g++ {
-		b := rng.NormFloat64() * srTrue
+	for g := 0; g < 12; g++ {
+		b := rng.NormFloat64() * recoverySigmaRho
 		name := string(rune('A' + g))
-		for j := 0; j < perGroup; j++ {
+		for j := 0; j < 10; j++ {
 			m := 50 + rng.Float64()*2000
-			logEff := b + math.Log(wTrue*m) + rng.NormFloat64()*seTrue
+			logEff := b + math.Log(recoveryW*m) + rng.NormFloat64()*recoverySigmaEps
 			d.Groups = append(d.Groups, name)
 			d.Efforts = append(d.Efforts, math.Exp(logEff))
 			d.Metrics = append(d.Metrics, []float64{m})
 		}
 	}
-	r, err := Fit(d)
+	return d
+}
+
+func TestFitRecoverySynthetic(t *testing.T) {
+	// Generate data from a known model and verify parameter recovery.
+	r, err := Fit(recoveryData())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.Weights[0]-wTrue)/wTrue > 0.25 {
-		t.Errorf("w = %v, want ≈%v", r.Weights[0], wTrue)
+	if math.Abs(r.Weights[0]-recoveryW)/recoveryW > 0.25 {
+		t.Errorf("w = %v, want ≈%v", r.Weights[0], recoveryW)
 	}
-	if math.Abs(r.SigmaEps-seTrue) > 0.08 {
-		t.Errorf("σε = %v, want ≈%v", r.SigmaEps, seTrue)
+	if math.Abs(r.SigmaEps-recoverySigmaEps) > 0.08 {
+		t.Errorf("σε = %v, want ≈%v", r.SigmaEps, recoverySigmaEps)
 	}
-	if math.Abs(r.SigmaRho-srTrue) > 0.25 {
-		t.Errorf("σρ = %v, want ≈%v", r.SigmaRho, srTrue)
+	if math.Abs(r.SigmaRho-recoverySigmaRho) > 0.25 {
+		t.Errorf("σρ = %v, want ≈%v", r.SigmaRho, recoverySigmaRho)
 	}
 }
 
@@ -220,7 +227,7 @@ func TestFitWeightScaleInvariance(t *testing.T) {
 func TestFitNeedsTwoProjects(t *testing.T) {
 	d := &Data{
 		Groups:  []string{"A", "A", "A"},
-		Efforts: []float64{1, 2, 3},
+		Efforts: []float64{1, 2.5, 3}, // not proportional: see TestFitDegenerate
 		Metrics: [][]float64{{10}, {20}, {30}},
 	}
 	if _, err := Fit(d); err == nil {
@@ -313,5 +320,68 @@ func TestFitRejectsInvalidData(t *testing.T) {
 	}
 	if _, err := FitFixed(d); err == nil {
 		t.Error("FitFixed must validate")
+	}
+}
+
+func TestFitNoFeasiblePoint(t *testing.T) {
+	// Metric columns 400 orders of magnitude apart put every seed's
+	// weight ratio outside the search box: both fits must report it as
+	// an error, not panic.
+	d := &Data{
+		Groups:  []string{"A", "A", "B", "B"},
+		Efforts: []float64{1, 2, 3, 5},
+		Metrics: [][]float64{{1e-200, 1e200}, {2e-200, 3e200}, {5e-200, 2e200}, {3e-200, 7e200}},
+	}
+	if _, err := Fit(d); err == nil {
+		t.Error("Fit: no error")
+	}
+	if _, err := FitFixed(d); err == nil {
+		t.Error("FitFixed: no error")
+	}
+}
+
+func TestFitDegenerate(t *testing.T) {
+	// Data the model fits exactly have σε² = 0 at the optimum, where the
+	// likelihood is unbounded: both fits must say so with ErrDegenerate.
+	m := []float64{10, 20, 35, 50, 80, 130}
+	data := func(groups []string, effort func(i int) float64, k int) *Data {
+		d := &Data{Groups: groups}
+		for i := range groups {
+			d.Efforts = append(d.Efforts, effort(i))
+			d.Metrics = append(d.Metrics, []float64{m[i], m[(i+2)%6]}[:k])
+		}
+		return d
+	}
+	two := []string{"A", "A", "A", "B", "B", "B"}
+	cw := func(i int) float64 { return 0.03 * m[i] }
+	for _, tc := range []struct {
+		name  string
+		d     *Data
+		mixed bool
+		want  error
+	}{
+		{"effort = c·m", data(two, cw, 1), true, ErrDegenerate},
+		{"effort = c·m", data(two, cw, 1), false, ErrDegenerate},
+		{"one project", data([]string{"A", "A", "A"}, cw, 1), false, ErrDegenerate},
+		{"effort = c·m1 of two", data(two, cw, 2), true, ErrDegenerate},
+		{"effort = c·m1 of two", data(two, cw, 2), false, ErrDegenerate},
+		{"effort = w·m of two", data(two, func(i int) float64 { return cw(i) + 0.5*m[(i+2)%6] }, 2), true, ErrDegenerate},
+		{"effort = w·m of two", data(two, func(i int) float64 { return cw(i) + 0.5*m[(i+2)%6] }, 2), false, ErrDegenerate},
+		{"effort = c_g·m per project", data(two, func(i int) float64 { return float64(1+i/3) * m[i] }, 1), true, ErrDegenerate},
+		{"effort = c_g·m per project", data(two, func(i int) float64 { return float64(1+i/3) * m[i] }, 1), false, nil},
+		{"near-exact", data(two, func(i int) float64 { return cw(i) * (1 + 1e-6*float64(i%2)) }, 1), true, nil},
+		{"near-exact", data(two, func(i int) float64 { return cw(i) * (1 + 1e-6*float64(i%2)) }, 1), false, nil},
+	} {
+		fit := FitFixed
+		if tc.mixed {
+			fit = Fit
+		}
+		r, err := fit(tc.d)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s, mixed=%v: error %v, want %v", tc.name, tc.mixed, err, tc.want)
+		}
+		if err == nil && (r.SigmaEps <= 0 || math.IsInf(r.LogLik, 0)) {
+			t.Errorf("%s, mixed=%v: σε %v, LogLik %v", tc.name, tc.mixed, r.SigmaEps, r.LogLik)
+		}
 	}
 }

@@ -77,8 +77,10 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# round-trip fuzzer, the synthesis-vs-RTL differential fuzzer, the
 	# corpus generator's parse-and-synthesize fuzzer (every seed must
 	# yield a valid, synthesizable corpus), the cache codec's two
-	# decoder fuzzers, and the dependency-graph decoder fuzzer (hostile
-	# bytes must error, never panic). internal/codec has two targets,
+	# decoder fuzzers, the dependency-graph decoder fuzzer (hostile
+	# bytes must error, never panic), and the NLME fitter's fuzzer (no
+	# NaN, mixed never below fixed, never below the full-θ reference
+	# fit). internal/codec has two targets,
 	# so each is named explicitly (-fuzz runs exactly one target per
 	# invocation).
 	fuzztime="${FUZZTIME:-10s}"
@@ -90,6 +92,7 @@ if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	go test -run '^$' -fuzz '^FuzzDecodeNetlist$' -fuzztime "$fuzztime" ./internal/codec
 	go test -run '^$' -fuzz '^FuzzDecodeGraph$' -fuzztime "$fuzztime" ./internal/depgraph
 	go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime "$fuzztime" ./internal/serve
+	go test -run '^$' -fuzz '^FuzzFit$' -fuzztime "$fuzztime" ./internal/nlme
 fi
 
 if [ "${SKIP_SERVE:-0}" != "1" ]; then
