@@ -684,8 +684,7 @@ func printResult(project, top string, res *measure.ComponentResult) {
 	m := res.Metrics
 	fmt.Printf("%s-%s:\n", project, top)
 	fmt.Printf("  Stmts=%d LoC=%d\n", m.Stmts, m.LoC)
-	fmt.Printf("  FanInLC=%d (exact cones: %d)  Nets=%d  Cells=%d  FFs=%d\n",
-		m.FanInLC, m.FanInLCExact, m.Nets, m.Cells, m.FFs)
+	fmt.Printf("  FanInLC=%d  Nets=%d  Cells=%d  FFs=%d\n", m.FanInLC, m.Nets, m.Cells, m.FFs)
 	fmt.Printf("  Freq=%.1f MHz  AreaL=%.0f um2  AreaS=%.0f um2  PowerD=%.3f mW  PowerS=%.2f uW\n",
 		m.FreqMHz, m.AreaL, m.AreaS, m.PowerD, m.PowerS)
 	fmt.Printf("  accounting: %d unique modules, %d instances, %d deduplicated\n",

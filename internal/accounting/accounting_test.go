@@ -3,6 +3,7 @@ package accounting
 import (
 	"testing"
 
+	"repro/internal/cones"
 	"repro/internal/hdl"
 	"repro/internal/measure"
 )
@@ -135,8 +136,12 @@ func TestMeasureComponentAccountingReducesMetrics(t *testing.T) {
 	if with.Metrics.Cells >= without.Metrics.Cells {
 		t.Errorf("accounting must reduce Cells: %d vs %d", with.Metrics.Cells, without.Metrics.Cells)
 	}
-	if with.Metrics.FanInLCExact >= without.Metrics.FanInLCExact {
-		t.Errorf("accounting must reduce FanInLC: %d vs %d", with.Metrics.FanInLCExact, without.Metrics.FanInLCExact)
+	if with.Metrics.FanInLC >= without.Metrics.FanInLC {
+		t.Errorf("accounting must reduce FanInLC: %d vs %d", with.Metrics.FanInLC, without.Metrics.FanInLC)
+	}
+	// The exact logic cones of the two optimized netlists shrink too.
+	if w, wo := cones.Analyze(with.Synth.Optimized).FanInLC, cones.Analyze(without.Synth.Optimized).FanInLC; w >= wo {
+		t.Errorf("accounting must reduce exact-cone FanInLC: %d vs %d", w, wo)
 	}
 	// Software metrics are identical in both modes (Section 5.3).
 	if with.Metrics.Stmts != without.Metrics.Stmts || with.Metrics.LoC != without.Metrics.LoC {

@@ -80,21 +80,18 @@ type analyzer struct {
 	depth   []int32
 	memos   []memo
 	memoIdx []int32 // per-net memo index, -1 when not memoized
-	fanout  []int32
 
-	// epoch persists across analyses of a reused workspace and never
-	// resets, so stale netEpoch entries (always <= a past epoch) can
-	// never collide with a fresh stamp.
 	epoch    uint32
 	netEpoch []uint32
 	stack    []netlist.NetID
 	leaves   []netlist.NetID
 	gates    []netlist.NetID
+	slab     scratch.Arena[netlist.NetID] // backing store of the memos
 }
 
 // Analyze extracts every logic cone of the netlist.
 func Analyze(n *netlist.Netlist) *Analysis {
-	a := newAnalyzer(n, &Workspace{})
+	a := newAnalyzer(n)
 	analysis := &Analysis{}
 
 	cone := func(endpoint string, root netlist.NetID) {
@@ -152,20 +149,17 @@ func Analyze(n *netlist.Netlist) *Analysis {
 
 // newAnalyzer runs the one-time sweep: leaf classification, the depth
 // pass over the topological order, fanout counting, and memo
-// construction for every multi-fanout combinational net. The analyzer
-// lives inside ws so the per-net tables, traversal scratch, and memos
-// carry their capacity from one analysis to the next.
-func newAnalyzer(n *netlist.Netlist, ws *Workspace) *analyzer {
+// construction for every multi-fanout combinational net.
+func newAnalyzer(n *netlist.Netlist) *analyzer {
 	numNets := n.NumNets()
-	a := &ws.a
-	a.n = n
-	a.drivers = n.Drivers()
-	scratch.Zero(&a.leaf, numNets)
-	scratch.Zero(&a.depth, numNets)
-	scratch.Raw(&a.memoIdx, numNets) // fully written below
-	scratch.Raw(&a.netEpoch, numNets)
-	clear(a.memos[:cap(a.memos)])
-	a.memos = a.memos[:0]
+	a := &analyzer{
+		n:        n,
+		drivers:  n.Drivers(),
+		leaf:     make([]bool, numNets),
+		depth:    make([]int32, numNets),
+		memoIdx:  make([]int32, numNets), // fully written below
+		netEpoch: make([]uint32, numNets),
+	}
 	for id := 0; id < numNets; id++ {
 		a.memoIdx[id] = -1
 		if netlist.NetID(id) == n.Const0 || netlist.NetID(id) == n.Const1 {
@@ -199,7 +193,7 @@ func newAnalyzer(n *netlist.Netlist, ws *Workspace) *analyzer {
 	// Fanout: references to each net as a combinational-cell input or
 	// as a cone endpoint root. Nets referenced more than once are the
 	// reconvergence points worth memoizing.
-	fanout := scratch.Zero(&a.fanout, numNets)
+	fanout := make([]int32, numNets)
 	ref := func(id netlist.NetID) {
 		if id != netlist.Nil {
 			fanout[id]++
@@ -248,9 +242,9 @@ func newAnalyzer(n *netlist.Netlist, ws *Workspace) *analyzer {
 		}
 		leaves, gates := a.traverse(out)
 		a.memoIdx[out] = int32(len(a.memos))
-		ml := ws.slab.Take(len(leaves))
+		ml := a.slab.Take(len(leaves))
 		copy(ml, leaves)
-		mg := ws.slab.Take(len(gates))
+		mg := a.slab.Take(len(gates))
 		copy(mg, gates)
 		a.memos = append(a.memos, memo{leaves: ml, gates: mg})
 	}

@@ -18,13 +18,15 @@ import (
 
 const (
 	// recordVersion 2 dropped the three subtree-cache counters version
-	// 1 carried after the probe counters.
-	recordVersion = 2
-	sigVersion    = 1
+	// 1 carried after the probe counters; recordVersion 3 and
+	// sigVersion 2 dropped the exact-cone FanInLC varint that versions
+	// 2 and 1 carried after FanInLC in the metric vector.
+	recordVersion = 3
+	sigVersion    = 2
 )
 
 // AppendMetrics appends the binary form of one metric vector: the
-// seven integer metrics as varints, then the five physical metrics as
+// six integer metrics as varints, then the five physical metrics as
 // float64 bit patterns, in declaration order. It is the one metrics
 // encoding — the disk cache's records and the daemon's binary wire
 // format both embed it.
@@ -32,7 +34,6 @@ func AppendMetrics(dst []byte, m *Metrics) []byte {
 	dst = codec.AppendVarint(dst, int64(m.Stmts))
 	dst = codec.AppendVarint(dst, int64(m.LoC))
 	dst = codec.AppendVarint(dst, int64(m.FanInLC))
-	dst = codec.AppendVarint(dst, int64(m.FanInLCExact))
 	dst = codec.AppendVarint(dst, int64(m.Nets))
 	dst = codec.AppendVarint(dst, int64(m.Cells))
 	dst = codec.AppendVarint(dst, int64(m.FFs))
@@ -48,18 +49,17 @@ func AppendMetrics(dst []byte, m *Metrics) []byte {
 // returned vector partially filled.
 func DecodeMetrics(r *codec.Reader) Metrics {
 	return Metrics{
-		Stmts:        int(r.Varint()),
-		LoC:          int(r.Varint()),
-		FanInLC:      int(r.Varint()),
-		FanInLCExact: int(r.Varint()),
-		Nets:         int(r.Varint()),
-		Cells:        int(r.Varint()),
-		FFs:          int(r.Varint()),
-		FreqMHz:      r.Float64(),
-		AreaL:        r.Float64(),
-		AreaS:        r.Float64(),
-		PowerD:       r.Float64(),
-		PowerS:       r.Float64(),
+		Stmts:   int(r.Varint()),
+		LoC:     int(r.Varint()),
+		FanInLC: int(r.Varint()),
+		Nets:    int(r.Varint()),
+		Cells:   int(r.Varint()),
+		FFs:     int(r.Varint()),
+		FreqMHz: r.Float64(),
+		AreaL:   r.Float64(),
+		AreaS:   r.Float64(),
+		PowerD:  r.Float64(),
+		PowerS:  r.Float64(),
 	}
 }
 

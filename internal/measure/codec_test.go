@@ -27,7 +27,7 @@ func roundtrip[T any](t *testing.T, cd codec.Codec[T], v T) T {
 
 func TestMetricsCodecRoundtrip(t *testing.T) {
 	want := &Metrics{
-		Stmts: 12, LoC: 340, FanInLC: 99, FanInLCExact: 101,
+		Stmts: 12, LoC: 340, FanInLC: 99,
 		Nets: 2048, Cells: 1500, FFs: 128,
 		FreqMHz: 123.456789, AreaL: 0.1 + 0.2, AreaS: math.SmallestNonzeroFloat64,
 		PowerD: 1e-9, PowerS: 55.5,
@@ -134,5 +134,56 @@ func TestRecordCodecRejectsVersion1(t *testing.T) {
 	v1 = codec.AppendBool(v1, false) // no optimized netlist
 	if _, err := recordCodec.Decode(codec.NewReader(v1)); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("version-1 record: err %v, want codec.ErrCorrupt", err)
+	}
+}
+
+// appendMetricsWithExactCones writes the metric vector in the layout
+// of record version 2 and sig version 1, which carried the exact-cone
+// FanInLC as a seventh varint after FanInLC.
+func appendMetricsWithExactCones(dst []byte, m *Metrics, exact int) []byte {
+	dst = codec.AppendVarint(dst, int64(m.Stmts))
+	dst = codec.AppendVarint(dst, int64(m.LoC))
+	dst = codec.AppendVarint(dst, int64(m.FanInLC))
+	dst = codec.AppendVarint(dst, int64(exact))
+	dst = codec.AppendVarint(dst, int64(m.Nets))
+	dst = codec.AppendVarint(dst, int64(m.Cells))
+	dst = codec.AppendVarint(dst, int64(m.FFs))
+	for _, f := range []float64{m.FreqMHz, m.AreaL, m.AreaS, m.PowerD, m.PowerS} {
+		dst = codec.AppendFloat64(dst, f)
+	}
+	return dst
+}
+
+// TestRecordCodecRejectsVersion2 pins the second structure-version
+// bump: a version-2 component record, whose metric vector still
+// carried the exact-cone FanInLC, must be rejected as corrupt, never
+// misread as the current layout.
+func TestRecordCodecRejectsVersion2(t *testing.T) {
+	v2 := codec.AppendByte(nil, 2)
+	v2 = codec.AppendBool(v2, true)
+	v2 = appendMetricsWithExactCones(v2, &Metrics{FanInLC: 5, Cells: 1}, 7)
+	v2 = codec.AppendUvarint(v2, 0) // UniqueModules
+	v2 = codec.AppendUvarint(v2, 0) // MinimizedParams
+	// InstanceCount, DedupedInstances, probe hits and misses.
+	for range 4 {
+		v2 = codec.AppendVarint(v2, 0)
+	}
+	v2 = codec.AppendBool(v2, false) // no optimized netlist
+	if _, err := recordCodec.Decode(codec.NewReader(v2)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("version-2 record: err %v, want codec.ErrCorrupt", err)
+	}
+}
+
+// TestSigCodecRejectsVersion1 is the same check for the signature
+// record: version 1 carried the exact-cone FanInLC in its metrics.
+func TestSigCodecRejectsVersion1(t *testing.T) {
+	v1 := codec.AppendByte(nil, 1)
+	v1 = codec.AppendBool(v1, true)
+	v1 = appendMetricsWithExactCones(v1, &Metrics{FanInLC: 5, Cells: 1}, 7)
+	v1 = codec.AppendVarint(v1, 1)   // InstanceCount
+	v1 = codec.AppendVarint(v1, 0)   // Deduped
+	v1 = codec.AppendBool(v1, false) // no optimized netlist
+	if _, err := sigRecordCodec.Decode(codec.NewReader(v1)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("version-1 sig record: err %v, want codec.ErrCorrupt", err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/cones"
 	"repro/internal/dataset"
 	"repro/internal/elab"
 	"repro/internal/fpga"
@@ -20,24 +19,22 @@ import (
 	"repro/internal/synth"
 )
 
-// Metrics is the full Table 3 metric vector for one measured unit,
-// plus the exact-cone FanInLC that the paper's LUT approximation
-// stands in for.
+// Metrics is the full Table 3 metric vector for one measured unit.
 type Metrics struct {
 	Stmts int
 	LoC   int
-	// FanInLC is the LUT-input-sum approximation (what the paper
-	// reports); FanInLCExact is the true logic-cone fan-in total.
-	FanInLC      int
-	FanInLCExact int
-	Nets         int
-	Cells        int
-	FFs          int
-	FreqMHz      float64
-	AreaL        float64 // µm²
-	AreaS        float64 // µm²
-	PowerD       float64 // mW
-	PowerS       float64 // µW
+	// FanInLC is the LUT-input-sum approximation the paper reports
+	// (§4.3); the exact logic-cone total is an ablation only
+	// (internal/cones, BenchmarkAblationFanInLC).
+	FanInLC int
+	Nets    int
+	Cells   int
+	FFs     int
+	FreqMHz float64
+	AreaL   float64 // µm²
+	AreaS   float64 // µm²
+	PowerD  float64 // mW
+	PowerS  float64 // µW
 }
 
 // Add accumulates other into m. Freq aggregates as the minimum
@@ -46,7 +43,6 @@ func (m *Metrics) Add(other *Metrics) {
 	m.Stmts += other.Stmts
 	m.LoC += other.LoC
 	m.FanInLC += other.FanInLC
-	m.FanInLCExact += other.FanInLCExact
 	m.Nets += other.Nets
 	m.Cells += other.Cells
 	m.FFs += other.FFs
@@ -164,40 +160,35 @@ func (o Options) CacheKeyParts() []string {
 }
 
 // synthMetricsWS measures the synthesis-derived metrics of an
-// already-synthesized result. Under a workspace the cone, LUT, and
-// power kernels run their summary/arena variants, whose aggregates are
-// pinned bit-identical to the fresh kernels (ws == nil, the test
-// reference's path) by their package tests and the session golden
-// tests.
+// already-synthesized result. Under a workspace the LUT and power
+// kernels run their arena variants, whose aggregates are pinned
+// bit-identical to the fresh kernels (ws == nil, the test reference's
+// path) by their package tests and the session golden tests.
 func synthMetricsWS(res *synth.Result, opts Options, ws *Workspace) *Metrics {
 	lib := opts.library()
 	nl := res.Optimized
 	stats := nl.Stats()
-	var fanInExact int
 	var mapping *fpga.Mapping
 	var pw power.Estimate
 	if ws != nil {
-		fanInExact = cones.AnalyzeSummary(nl, &ws.cones).FanInLC
 		mapping = fpga.MapWS(nl, opts.FPGA, &ws.fpga)
 		pw = power.AnalyzeWS(nl, lib, mapping.FreqMHz, &ws.power)
 	} else {
-		fanInExact = cones.Analyze(nl).FanInLC
 		mapping = fpga.Map(nl, opts.FPGA)
 		pw = power.Analyze(nl, lib, mapping.FreqMHz)
 	}
 	areaL, areaS := lib.Areas(nl)
 
 	return &Metrics{
-		FanInLC:      mapping.LUTInputSum,
-		FanInLCExact: fanInExact,
-		Nets:         stats.Nets,
-		Cells:        stats.Cells,
-		FFs:          stats.FFs,
-		FreqMHz:      mapping.FreqMHz,
-		AreaL:        areaL,
-		AreaS:        areaS,
-		PowerD:       pw.DynamicMW,
-		PowerS:       pw.StaticUW,
+		FanInLC: mapping.LUTInputSum,
+		Nets:    stats.Nets,
+		Cells:   stats.Cells,
+		FFs:     stats.FFs,
+		FreqMHz: mapping.FreqMHz,
+		AreaL:   areaL,
+		AreaS:   areaS,
+		PowerD:  pw.DynamicMW,
+		PowerS:  pw.StaticUW,
 	}
 }
 

@@ -3,22 +3,20 @@ package measure
 import (
 	"sync"
 
-	"repro/internal/cones"
 	"repro/internal/fpga"
 	"repro/internal/power"
 	"repro/internal/synth"
 )
 
 // Workspace bundles the per-worker scratch of the whole measurement
-// kernel chain — lowering and netlist optimization, cone extraction,
-// LUT mapping, and power analysis — so one pool worker can measure
+// kernel chain — lowering and netlist optimization, LUT mapping, and
+// power analysis — so one pool worker can measure
 // design point after design point with near-zero steady-state heap
 // allocation. A workspace is owned by exactly one goroutine at a time;
 // nil everywhere a *Workspace is accepted selects the fresh-allocation
 // reference path the golden tests pin reuse against.
 type Workspace struct {
 	synth *synth.Workspace
-	cones cones.Workspace
 	fpga  fpga.Workspace
 	power power.Workspace
 }
@@ -27,7 +25,6 @@ type Workspace struct {
 // only its own buffers between uses.
 func (w *Workspace) reset() {
 	w.synth.Reset()
-	w.cones.Reset()
 	w.fpga.Reset()
 }
 

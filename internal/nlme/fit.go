@@ -86,6 +86,12 @@ func (r *Result) ConfidenceInterval(eff, conf float64) (lo, hi float64) {
 // zero, so the likelihood has no maximum (it grows as σε → 0).
 var ErrDegenerate = errors.New("nlme: residual variance is zero; likelihood unbounded")
 
+// ErrUnidentified reports a mixed fit in which every project has a
+// single observation. Each group's marginal variance is then
+// σε²(1+λ), so the likelihood depends on σε² and σρ² only through
+// their sum: it is flat in λ and has no unique maximum.
+var ErrUnidentified = errors.New("nlme: every project has one observation; σε and σρ are not separately identified")
+
 // minVarEps is the σε² at or below which a fit counts as exact: on
 // exactly proportional data rounding leaves log residuals near 1e-15,
 // while no effort data is fitted to one part in 10⁹.
@@ -225,7 +231,8 @@ type FitOptions struct {
 // the log variance ratio, seeded from per-metric effort/metric scale
 // ratios and an OLS fit. The restarts run concurrently on every
 // available core; use FitOpts to bound or serialize them. Data the
-// model fits exactly fail with ErrDegenerate.
+// model fits exactly fail with ErrDegenerate; data with one
+// observation per project fail with ErrUnidentified.
 func Fit(d *Data) (*Result, error) {
 	return FitOpts(d, FitOptions{})
 }
@@ -257,6 +264,9 @@ func fit(d *Data, opts FitOptions, mixed bool) (*Result, error) {
 	names, members := d.groupIndex()
 	if mixed && len(names) < 2 {
 		return nil, fmt.Errorf("nlme: mixed model needs at least 2 projects, got %d (use FitFixed)", len(names))
+	}
+	if mixed && len(names) == d.NumObs() {
+		return nil, ErrUnidentified
 	}
 	p := &profile{d: d, members: members, logEff: make([]float64, d.NumObs())}
 	for i, eff := range d.Efforts {

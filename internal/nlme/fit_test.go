@@ -385,3 +385,21 @@ func TestFitDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestFitUnidentified: with one observation per project the mixed
+// likelihood is flat in λ, so Fit must refuse the data rather than
+// return an arbitrary split of the variance; the fixed fit is
+// unaffected.
+func TestFitUnidentified(t *testing.T) {
+	d := &Data{Groups: []string{"A", "B", "C", "D", "E"}}
+	for i, m := range []float64{10, 20, 35, 50, 80} {
+		d.Efforts = append(d.Efforts, 0.03*m*(1+0.2*float64(i%3)))
+		d.Metrics = append(d.Metrics, []float64{m})
+	}
+	if _, err := Fit(d); !errors.Is(err, ErrUnidentified) {
+		t.Errorf("Fit: error %v, want ErrUnidentified", err)
+	}
+	if _, err := FitFixed(d); err != nil {
+		t.Errorf("FitFixed: %v", err)
+	}
+}

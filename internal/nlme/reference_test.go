@@ -330,7 +330,9 @@ func fuzzData(b []byte) *Data {
 
 // FuzzFit checks both fits on arbitrary small data sets: they either
 // fit or report ErrDegenerate, never yield NaN, and the mixed model
-// never fits worse than the fixed model it nests. Where the projects
+// never fits worse than the fixed model it nests. Where every project
+// is a single observation (G = n) the mixed fit must report
+// ErrUnidentified instead. Where the projects
 // leave at least k within-project degrees of freedom (n − G ≥ k),
 // neither fit may end below the full-θ reference either; with fewer,
 // the weight ratios can zero every within-project residual, so the
@@ -341,13 +343,22 @@ func FuzzFit(f *testing.F) {
 	f.Add([]byte{14, 0, 2, 100, 50, 120, 90, 140, 70, 160, 110, 30, 200})
 	f.Add([]byte{20, 1, 3, 10, 200, 30, 5, 250, 60, 128, 128, 128, 1, 255})
 	f.Add([]byte{7, 2, 1, 128, 10, 20, 30, 129, 40, 50, 60, 131, 70, 80, 90})
+	f.Add([]byte{0, 1, 3, 100, 50, 120, 90, 140, 70, 160, 110, 30, 200}) // G = n = 4
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := fuzzData(b)
 		names, _ := d.groupIndex()
 		bounded := d.NumObs()-len(names) >= d.NumMetrics()
 		var logLik [2]float64
+		unidentified := len(names) == d.NumObs()
 		for m, mixed := range []bool{false, true} {
 			r, err := fit(d, FitOptions{Concurrency: 1}, mixed)
+			if mixed && unidentified {
+				if !errors.Is(err, ErrUnidentified) {
+					t.Fatalf("G = n = %d: mixed fit err %v, want ErrUnidentified", len(names), err)
+				}
+				logLik[m] = math.Inf(1)
+				continue
+			}
 			if errors.Is(err, ErrDegenerate) {
 				logLik[m] = math.Inf(1)
 				continue

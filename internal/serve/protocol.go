@@ -30,7 +30,8 @@ import (
 const (
 	// SchemaVersion versions the binary response framing (the
 	// codec.EncodeEntry schema field). Bump on any layout change.
-	SchemaVersion = 1
+	// Version 2 dropped the exact-cone FanInLC from the metric vector.
+	SchemaVersion = 2
 	// ContentTypeJSON is the default response encoding.
 	ContentTypeJSON = "application/json"
 	// ContentTypeBinary selects the codec-framed binary response.

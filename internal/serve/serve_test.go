@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/codec"
 	"repro/internal/designs"
 	"repro/internal/measure"
 	"repro/internal/serve"
@@ -298,4 +300,35 @@ func replaceOnce(t *testing.T, src, old, new string) string {
 		t.Fatalf("anchor %q not found", old)
 	}
 	return src[:i] + new + src[i+len(old):]
+}
+
+// TestDecodeResponseRejectsSchema1 pins the binary schema bump: a
+// schema-1 response, whose metric vectors still carried the exact-cone
+// FanInLC as a seventh varint, must be refused as corrupt, never
+// misread as the current layout.
+func TestDecodeResponseRejectsSchema1(t *testing.T) {
+	payload := codec.AppendString(nil, "tenant")
+	payload = codec.AppendUvarint(payload, 1) // one unit result
+	payload = codec.AppendString(payload, "top")
+	payload = codec.AppendBool(payload, false) // not accounting
+	// Stmts, LoC, FanInLC, exact-cone FanInLC, Nets, Cells, FFs, then
+	// the five physical metrics.
+	for _, v := range []int64{3, 10, 5, 7, 20, 12, 1} {
+		payload = codec.AppendVarint(payload, v)
+	}
+	for range 5 {
+		payload = codec.AppendFloat64(payload, 1)
+	}
+	payload = codec.AppendVarint(payload, 1)  // InstanceCount
+	payload = codec.AppendVarint(payload, 0)  // DedupedInstances
+	payload = codec.AppendUvarint(payload, 0) // UniqueModules
+	payload = codec.AppendUvarint(payload, 0) // MinimizedParams
+	for range 4 {                             // session counters
+		payload = codec.AppendVarint(payload, 0)
+	}
+	payload = codec.AppendBool(payload, false) // no remeasure block
+	frame := codec.EncodeEntry(nil, 1, "serve-response", payload, codec.DefaultCompressThreshold)
+	if _, err := serve.DecodeResponse(frame); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("schema-1 response: err %v, want codec.ErrCorrupt", err)
+	}
 }

@@ -35,6 +35,14 @@
 # in the sharded planner fails CI with the scale test's name in the
 # output rather than somewhere inside a package-wide run.
 #
+# A hostile-width smoke stage measures a W=128 and a W=256
+# multiply-accumulate (internal/measure
+# TestMeasureWideMultiplyAccumulate) and fails if either measurement
+# allocates more than 256 MB. A three-line design whose netlist grows
+# as W² is the cheapest way a request can demand unbounded work; the
+# named stage makes a kernel that scales badly with netlist size fail
+# CI by name. It has no skip variable.
+#
 # A perfbench stage vets and tests the benchmark's separate Go module
 # (perfbench/, which pulls the repository in through a replace
 # directive) under perfbench/run.sh's module settings. The root
@@ -71,6 +79,9 @@ if [ "${SKIP_SCALE:-0}" != "1" ]; then
 	echo "== scale smoke (generated 100-component corpus, -race) =="
 	go test -race -run '^TestMeasureStreamMatchesBatchGenerated$' ./internal/measure
 fi
+
+echo "== hostile-width smoke (W=128/256 multiply-accumulate, 256 MB allocation bound) =="
+go test -count=1 -run '^TestMeasureWideMultiplyAccumulate$' ./internal/measure
 
 if [ "${SKIP_FUZZ:-0}" != "1" ]; then
 	# Short coverage-guided smoke on the fuzz targets: the parser's
